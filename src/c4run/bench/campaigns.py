@@ -22,14 +22,15 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 from .. import runtime
-from ..bundle import SIM_STAGE_TABLE, write_test_bundle
+from ..bundle import SIM_STAGE_TABLE, write_sleep_anchor_bundle, write_test_bundle
 from ..backends import load_receipts
-from ..crashpoints import InjectedCrash, armed
+from ..crashpoints import CRASH_POINTS, InjectedCrash, armed
 from ..errors import C4Error
 from ..fsutil import read_json
 from ..protocol import (
@@ -46,9 +47,6 @@ from ..protocol import (
 from ..serve import ServeLoop
 from ..statedir import StateDir
 from .audit import audit_artifacts, audit_state_consistency
-
-SLEEP_ANCHOR = "#!/bin/sh\nexec sleep 300\n"
-
 
 def _invoke(fn: Callable, *args, **kwargs) -> tuple[int, object]:
     try:
@@ -343,8 +341,6 @@ def run_concurrency_campaign(
             result = runtime.cmd_wait(root, cid, timeout=120)
             elapsed = time.monotonic() - t0
             receipts = load_receipts(sd.receipts_path)
-            from collections import Counter
-
             counts = Counter(r["request_id"] for r in receipts)
             exactly_once = all(n == 1 for n in counts.values()) and len(counts) == k
             success = (
@@ -400,8 +396,6 @@ _FLIP_FIELDS = ("stage", "cid", "epoch", "seq", "request_id", "nonce", "response
 
 
 def _flip_bit_in_field(req: StageRequest, fieldname: str, rng: random.Random) -> StageRequest:
-    from dataclasses import replace
-
     def flip_bytes(b: bytes) -> bytes:
         if not b:
             return b"\x01"
@@ -492,8 +486,6 @@ def run_adversary_campaign(
             req = build_request(sess_a, "hello", b"p")
             assert validate_request(req, sess_a, "adv-a") is None
             commit_acceptance(sess_a, req)
-            from dataclasses import replace
-
             forged = replace(
                 build_request(sess_a, "hello", b"p"), nonce=req.nonce, mac=b""
             )
@@ -504,8 +496,6 @@ def run_adversary_campaign(
             fieldname = _FLIP_FIELDS[rng.randrange(len(_FLIP_FIELDS))]
             _count(validate_request(_flip_bit_in_field(req, fieldname, rng), sess_a, "adv-a"))
         elif kind == "path_escape":
-            from dataclasses import replace
-
             req = replace(build_request(sess_a, "hello", b"p"), response_path="../../etc/x")
             _count(validate_request(req, sess_a, "adv-a"))
 
@@ -534,8 +524,7 @@ def run_adversary_campaign(
 
 def _adversary_e2e(workdir: Path, root: Path, rng: random.Random, n: int) -> dict:
     """Spool transformed requests at live instances; count executions."""
-    bundle = write_test_bundle(workdir / "bundle-e2e", anchor_args=["bin/sleep-anchor.sh"])
-    _write_sleep_anchor(bundle)
+    bundle = write_sleep_anchor_bundle(workdir / "bundle-e2e")
     for cid in ("e2e-a", "e2e-b"):
         runtime.cmd_create(root, cid, bundle)
         runtime.cmd_start(root, cid)
@@ -565,8 +554,6 @@ def _adversary_e2e(workdir: Path, root: Path, rng: random.Random, n: int) -> dic
         misrouted.append(req.request_id)
     ServeLoop(sd_a, workers=4).run(mode="until-idle")
 
-    from collections import Counter
-
     counts = Counter(r["request_id"] for r in load_receipts(sd_a.receipts_path))
     executed_misrouted = sum(counts.get(rid, 0) for rid in misrouted)
     honest_executed = all(counts.get(rid, 0) == 1 for rid in honest_ids)
@@ -588,126 +575,100 @@ def _adversary_e2e(workdir: Path, root: Path, rng: random.Random, n: int) -> dic
     }
 
 
-def _write_sleep_anchor(bundle: Path) -> None:
-    script = bundle / "rootfs" / "bin" / "sleep-anchor.sh"
-    script.write_text(SLEEP_ANCHOR)
-    script.chmod(0o755)
-
-
 # ---------------------------------------------------------------------------
 # Crash campaign
 # ---------------------------------------------------------------------------
 
-CREATE_CRASH_POINTS = (
-    "create:post-root",
-    "create:post-dirs",
-    "create:post-bundle",
-    "create:post-session",
-    "create:pre-marker",
-)
+def _crashes(point: str, fn: Callable, *args) -> bool:
+    try:
+        with armed(point):
+            fn(*args)
+    except InjectedCrash:
+        return True
+    return False
 
-#: pipeline crash point -> expected post-recovery outcome for the request
-PIPELINE_CRASH_POINTS = {
-    "claim:post-rename": "completed",
-    "accept:pre-commit": "completed",
-    "accept:post-commit": "completed",
-    "execute:post-marker": "failed_ambiguous",
-    "execute:pre-prepare": "failed_ambiguous",
-    "execute:pre-backend": "failed_ambiguous",
-    "finalize:pre-meta": "failed_ambiguous",
-    "finalize:post-log": "failed_ambiguous",
-    "finalize:post-meta": "completed",
-    "finalize:post-state": "completed",
-    "response:pre-write": "completed",
-    "response:post-write": "completed",
-}
+
+def _crash_create(root: Path, cid: str, bundle: Path, point: str, expected: str) -> dict:
+    sd = StateDir(root, cid)
+    crashed = _crashes(point, runtime.cmd_create, root, cid, bundle)
+    absent_after = sd.read_record() is None
+    runtime.cmd_create(root, cid, bundle)
+    rebuilt = sd.read_record() is not None and sd.is_created()
+    runtime.cmd_kill(root, cid)
+    runtime.cmd_delete(root, cid)
+    return {"phase": "create", "ok": crashed and absent_after and rebuilt}
+
+
+def _crash_delete(root: Path, cid: str, bundle: Path, point: str, expected: str) -> dict:
+    sd = StateDir(root, cid)
+    runtime.cmd_create(root, cid, bundle)
+    runtime.cmd_kill(root, cid)
+    crashed = _crashes(point, runtime.cmd_delete, root, cid)
+    absent_after = sd.read_record() is None
+    code, _ = _invoke(runtime.cmd_delete, root, cid)
+    return {"phase": "delete", "ok": crashed and absent_after and code == 0 and not sd.path.exists()}
+
+
+def _crash_pipeline(root: Path, cid: str, bundle: Path, point: str, expected: str) -> dict:
+    sd = StateDir(root, cid)
+    runtime.cmd_create(root, cid, bundle)
+    runtime.cmd_start(root, cid)
+    req = build_request(sd.load_session(), "hello", b"p")
+    sd.spool_request(request_to_envelope(req), req.request_id)
+
+    crashed = _crashes(point, ServeLoop(sd, workers=1).process_next)
+    actions = ServeLoop(sd, workers=1).recover()
+    # A requeued request still needs processing; drain it.
+    drain = ServeLoop(sd, workers=1)
+    while drain.process_next() is not None:
+        pass
+
+    counts = Counter(r["request_id"] for r in load_receipts(sd.receipts_path))
+    execs = counts.get(req.request_id, 0)
+    resp = (
+        response_from_envelope(read_json(sd.response_path(req.request_id), "response"))
+        if sd.has_response(req.request_id)
+        else None
+    )
+    if expected == "completed":
+        outcome_ok = resp is not None and resp.status.value == "completed" and execs == 1
+    else:
+        outcome_ok = (
+            resp is not None
+            and resp.status.value == "failed"
+            and execs <= 1
+            and {"request_id": req.request_id, "action": expected} in actions
+        )
+    ipr = audit_artifacts(sd)
+    # An ambiguous failure legitimately fails the instance under
+    # fail-fast; state audit must still be internally consistent.
+    scr = audit_state_consistency(sd)
+    runtime.cmd_kill(root, cid)
+    runtime.cmd_delete(root, cid)
+    return {
+        "phase": "pipeline",
+        "ok": crashed and outcome_ok and ipr.passed and scr.passed,
+        "executions": execs,
+        "recover_actions": actions,
+        "ipr_violations": ipr.violations,
+        "scr_violations": scr.violations,
+    }
+
+
+_CRASH_SCENARIOS = {"absent": _crash_create, "deleted": _crash_delete}
 
 
 def run_crash_campaign(workdir: Path) -> dict:
-    """Inject a crash at every enumerated point, recover, audit."""
+    """Inject a crash at every registered point, recover, audit."""
     workdir = Path(workdir)
     root = workdir / "state"
     root.mkdir(parents=True, exist_ok=True)
-    bundle = write_test_bundle(workdir / "bundle", anchor_args=["bin/sleep-anchor.sh"])
-    _write_sleep_anchor(bundle)
-
+    bundle = write_sleep_anchor_bundle(workdir / "bundle")
     results = []
-
-    for point in CREATE_CRASH_POINTS:
+    for point, expected in CRASH_POINTS.items():
+        scenario = _CRASH_SCENARIOS.get(expected, _crash_pipeline)
         cid = f"crash-{point.replace(':', '-')}"
-        sd = StateDir(root, cid)
-        crashed = False
-        try:
-            with armed(point):
-                runtime.cmd_create(root, cid, bundle)
-        except InjectedCrash:
-            crashed = True
-        absent_after = sd.read_record() is None
-        runtime.cmd_create(root, cid, bundle)
-        rebuilt = sd.read_record() is not None and sd.is_created()
-        ok = crashed and absent_after and rebuilt
-        results.append({"point": point, "ok": ok, "phase": "create"})
-        runtime.cmd_kill(root, cid)
-        runtime.cmd_delete(root, cid)
-
-    for point, expected in PIPELINE_CRASH_POINTS.items():
-        cid = f"crash-{point.replace(':', '-')}"
-        sd = StateDir(root, cid)
-        runtime.cmd_create(root, cid, bundle)
-        runtime.cmd_start(root, cid)
-        sess = sd.load_session()
-        req = build_request(sess, "hello", b"p")
-        sd.spool_request(request_to_envelope(req), req.request_id)
-
-        crashed = False
-        loop = ServeLoop(sd, workers=1)
-        try:
-            with armed(point):
-                loop.process_next()
-        except InjectedCrash:
-            crashed = True
-
-        recovery = ServeLoop(sd, workers=1)
-        actions = recovery.recover()
-        # A requeued request still needs processing; drain it.
-        drain = ServeLoop(sd, workers=1)
-        while drain.process_next() is not None:
-            pass
-
-        from collections import Counter
-
-        counts = Counter(r["request_id"] for r in load_receipts(sd.receipts_path))
-        execs = counts.get(req.request_id, 0)
-        resp_ok = sd.has_response(req.request_id)
-        resp = (
-            response_from_envelope(read_json(sd.response_path(req.request_id), "response"))
-            if resp_ok
-            else None
-        )
-        if expected == "completed":
-            outcome_ok = resp is not None and resp.status.value == "completed" and execs == 1
-        else:
-            outcome_ok = resp is not None and resp.status.value == "failed" and execs <= 1
-        ipr = audit_artifacts(sd)
-        # An ambiguous failure legitimately fails the instance under
-        # fail-fast; state audit must still be internally consistent.
-        scr = audit_state_consistency(sd)
-        ok = crashed and outcome_ok and ipr.passed and scr.passed
-        results.append(
-            {
-                "point": point,
-                "phase": "pipeline",
-                "expected": expected,
-                "ok": ok,
-                "executions": execs,
-                "recover_actions": actions,
-                "ipr_violations": ipr.violations,
-                "scr_violations": scr.violations,
-            }
-        )
-        runtime.cmd_kill(root, cid)
-        runtime.cmd_delete(root, cid)
-
+        results.append({"point": point, "expected": expected, **scenario(root, cid, bundle, point, expected)})
     return {
         "points": len(results),
         "all_ok": all(r["ok"] for r in results),

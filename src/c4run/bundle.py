@@ -167,6 +167,10 @@ sleep 0.05
 exit 0
 """
 
+_SLEEP_ANCHOR_SH = """#!/bin/sh
+exec sleep 300
+"""
+
 _TAG_SH = """#!/bin/sh
 # Reads the payload and emits a stable digest-like token.
 read -r payload || true
@@ -245,3 +249,13 @@ def write_test_bundle(
     }
     (path / "config.json").write_text(json.dumps(config, indent=2))
     return path
+
+
+def write_sleep_anchor_bundle(path: Path) -> Path:
+    """A test bundle whose anchor only sleeps; the caller spools requests
+    and serves them itself."""
+    bundle = write_test_bundle(path, anchor_args=["bin/sleep-anchor.sh"])
+    script = bundle / "rootfs" / "bin" / "sleep-anchor.sh"
+    script.write_text(_SLEEP_ANCHOR_SH)
+    script.chmod(0o755)
+    return bundle

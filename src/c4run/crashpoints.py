@@ -1,9 +1,13 @@
 """Crash-point injection hooks for durability testing.
 
 Write paths call :func:`crash_if` at named points. Normally these are
-no-ops; the crash harness arms a point (in-process via :func:`armed`, or
-for child processes via the ``C4_CRASH_POINT`` environment variable) and
+no-ops; the crash harness arms a point in-process via :func:`armed`, and
 the next time execution reaches it an :class:`InjectedCrash` is raised.
+
+:data:`CRASH_POINTS` is the one list of points: every ``crash_if`` name,
+mapped to the outcome the crash campaign expects after recovery. The
+campaign walks it in full, and :func:`armed` refuses a name missing from
+it, so a point cannot exist untested and a typo cannot arm nothing.
 
 InjectedCrash derives from BaseException so no ``except Exception`` handler
 on the write path can accidentally swallow it; combined with ``with``-scoped
@@ -13,10 +17,36 @@ process would have left.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-ENV_VAR = "C4_CRASH_POINT"
+#: Every crash point -> expected outcome after recovery:
+#: "absent"           a crashed create reads as absent; a retry rebuilds it
+#: "deleted"          a crashed delete reads as absent; a repeat removes the tree
+#: "completed"        the request completes with exactly one execution
+#: "failed_ambiguous" the request fails safely and is never re-executed
+CRASH_POINTS: dict[str, str] = {
+    "create:post-root": "absent",
+    "create:post-dirs": "absent",
+    "create:post-bundle": "absent",
+    "create:post-session": "absent",
+    "create:pre-marker": "absent",
+    "delete:post-marker": "deleted",
+    "claim:post-rename": "completed",
+    "accept:pre-commit": "completed",
+    "accept:post-commit": "completed",
+    "eid:pre-write": "completed",
+    "eid:post-write": "completed",
+    "execute:post-marker": "failed_ambiguous",
+    "update:pre-write": "failed_ambiguous",
+    "execute:pre-prepare": "failed_ambiguous",
+    "execute:pre-backend": "failed_ambiguous",
+    "finalize:pre-meta": "failed_ambiguous",
+    "finalize:post-log": "failed_ambiguous",
+    "finalize:post-meta": "completed",
+    "finalize:post-state": "completed",
+    "response:pre-write": "completed",
+    "response:post-write": "completed",
+}
 
 _armed: set[str] = set()
 
@@ -30,13 +60,15 @@ class InjectedCrash(BaseException):
 
 
 def crash_if(point: str) -> None:
-    if point in _armed or os.environ.get(ENV_VAR) == point:
+    if point in _armed:
         raise InjectedCrash(point)
 
 
 @contextmanager
 def armed(point: str):
-    """Arm one crash point for the duration of the context."""
+    """Arm one registered crash point for the duration of the context."""
+    if point not in CRASH_POINTS:
+        raise ValueError(f"unknown crash point {point!r}")
     _armed.add(point)
     try:
         yield

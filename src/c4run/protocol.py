@@ -18,6 +18,7 @@ under distinct keys derived from the session secret with the labels
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import hmac
 import os
@@ -384,8 +385,6 @@ _RESP_KEYS = {
 
 
 def request_to_envelope(req: StageRequest) -> dict:
-    import base64
-
     return {
         "schema_version": SCHEMA_VERSION,
         "stage": req.stage,
@@ -401,8 +400,6 @@ def request_to_envelope(req: StageRequest) -> dict:
 
 
 def request_from_envelope(obj: dict) -> StageRequest:
-    import base64
-
     if not isinstance(obj, dict) or set(obj) != _REQ_KEYS or obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError("malformed request envelope")
     if not all(isinstance(obj[k], str) for k in ("stage", "cid", "request_id", "nonce_hex", "response_path", "payload_b64", "mac_hex")):
@@ -423,8 +420,6 @@ def request_from_envelope(obj: dict) -> StageRequest:
 
 
 def response_to_envelope(resp: StageResponse) -> dict:
-    import base64
-
     return {
         "schema_version": SCHEMA_VERSION,
         "request_id": resp.request_id,
@@ -438,8 +433,6 @@ def response_to_envelope(resp: StageResponse) -> dict:
 
 
 def response_from_envelope(obj: dict) -> StageResponse:
-    import base64
-
     if not isinstance(obj, dict) or set(obj) != _RESP_KEYS or obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError("malformed response envelope")
     return StageResponse(

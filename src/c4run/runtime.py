@@ -35,6 +35,7 @@ from .errors import (
     InternalError,
     WaitTimeout,
 )
+from .fsutil import atomic_write_json
 from .lifecycle import (
     DEFAULT_UNTRUSTED_EXIT_CODE,
     EventSource,
@@ -122,6 +123,12 @@ def cmd_delete(root: Path, cid: str, *, force: bool = False) -> dict:
         if not force:
             raise IllegalStateError(f"{cid}: delete is permitted only after terminal states")
         cmd_kill(root, cid)
+    # A fail-fast instance turns Failed while its anchor still runs, and kill
+    # on a terminal instance is a no-op: end the anchor before its tree goes.
+    pid = (rec.anchor_pid if rec else None) or sd.read_anchor_pid()
+    if _anchor_alive(sd, pid):
+        _signal_group(pid, signal.SIGKILL)
+        _await_anchor_exit(sd, DEFAULT_KILL_GRACE_S)
     sd.delete()
     return {"cid": cid, "deleted": True}
 
@@ -264,26 +271,25 @@ def _record_anchor_exit_event(sd: StateDir) -> None:
 
 
 def _finalize_terminal(sd: StateDir):
-    """Reduce journaled events and persist the terminal record (CAS loop)."""
+    """Reduce journaled events and persist the terminal record, deciding
+    under the state lock so no concurrent writer can interleave."""
     c_untrusted = _c_untrusted(sd)
-    while True:
-        rec = _require_record(sd)
-        if rec.state in TERMINAL_STATES:
-            return rec
+
+    def settle(cur):
+        if cur.state in TERMINAL_STATES:
+            return cur
         events = sd.load_events()
         if not events:
             raise InternalError(f"{sd.cid}: no termination events to reduce")
         exit_code, dominant = reduce_termination(events, c_untrusted)
         if is_done(dominant) or dominant.reason is TerminationReason.KILLED:
-            target = LifecycleState.STOPPED
-        else:
-            target = LifecycleState.FAILED
-        try:
-            return sd.update_record(
-                lambda cur: cur.with_state(target, exit_code=exit_code), rec.ver
-            )
-        except C4Error:
-            time.sleep(0.002)
+            return cur.with_state(LifecycleState.STOPPED, exit_code=exit_code)
+        return cur.with_state(LifecycleState.FAILED, exit_code=exit_code)
+
+    rec = sd.update_record_rmw(settle)
+    if rec is None:
+        raise AbsentRecordError(f"{sd.cid}: not found")
+    return rec
 
 
 def cmd_wait(root: Path, cid: str, *, timeout: Optional[float] = None) -> dict:
@@ -325,8 +331,6 @@ def cmd_kill(
     rec = _require_record(sd)
     if rec.state in TERMINAL_STATES:
         return {"cid": cid, "state": rec.state.value, "noop": True}
-
-    from .fsutil import atomic_write_json
 
     atomic_write_json(sd.kill_marker_path, {"signal": sig, "ts": time.time()})
 

@@ -49,7 +49,7 @@ from .errors import (
     PrepareFailed,
     StageNotFound,
 )
-from .fsutil import remove_if_exists
+from .fsutil import read_json, remove_if_exists
 from .lifecycle import (
     CompositeStateRecord,
     EventSource,
@@ -218,17 +218,13 @@ class ServeLoop:
 
     # -- claim + accept (dispatcher side, sequential under the session lock) --
 
-    def claim_and_accept(self) -> Optional[WorkItem]:
+    def _claim_and_accept_detail(self) -> tuple[Optional[WorkItem], Optional[PipelineResult]]:
         """Claim one request and run the Accept predicate against it.
 
-        Returns a WorkItem for an accepted request. A rejection is finalized
-        inline (rejected response written, no stage identifier allocated)
-        and, like an empty spool, yields None.
+        Returns a WorkItem for an accepted request, or the result of a
+        rejection finalized inline (rejected response written, no stage
+        identifier allocated); (None, None) when the spool is empty.
         """
-        item, _ = self._claim_and_accept_detail()
-        return item
-
-    def _claim_and_accept_detail(self) -> tuple[Optional[WorkItem], Optional[PipelineResult]]:
         with self.sd.session_lock():
             claimed = claim_next(self.sd)
             if claimed is None:
@@ -236,7 +232,7 @@ class ServeLoop:
             claimed_at = time.time()
             request_id = claimed.stem
             try:
-                envelope = _read_envelope(claimed)
+                envelope = read_json(claimed, "request envelope")
                 req = request_from_envelope(envelope)
             except (ValueError, CorruptStateError) as exc:
                 logger.warning("%s: malformed request %s: %s", self.sd.cid, request_id, exc)
@@ -404,7 +400,7 @@ class ServeLoop:
             if rec.state in TERMINAL_STATES:
                 return rec
             return rec.with_state(rec.state, tee_phase=_phase_for(rec.last_rc, in_flight=True))
-        self._mutate_if_live(mutate)
+        self.sd.update_record_rmw(mutate)
 
     def _update_summary_fields(self, record: StageRecord, *, executed: bool) -> None:
         def mutate(rec: CompositeStateRecord) -> CompositeStateRecord:
@@ -444,9 +440,6 @@ class ServeLoop:
                 changes["health_flag"] = health
             return rec.with_state(rec.state, **changes)
 
-        self._mutate_if_live(mutate)
-
-    def _mutate_if_live(self, mutate) -> None:
         self.sd.update_record_rmw(mutate)
 
     def _fail_fast(self, eid: str, rc: int) -> None:
@@ -643,7 +636,7 @@ class ServeLoop:
             # Accepted and committed but never bound to a stage identifier;
             # requeueing would self-reject as a replay, so resume instead.
             try:
-                req = request_from_envelope(_read_envelope(claimed))
+                req = request_from_envelope(read_json(claimed, "request envelope"))
             except (ValueError, CorruptStateError):
                 remove_if_exists(claimed)
                 return "dropped_malformed"
@@ -656,12 +649,6 @@ class ServeLoop:
 
         self.sd.requeue_claimed(claimed)
         return "requeued"
-
-
-def _read_envelope(path: Path) -> dict:
-    from .fsutil import read_json
-
-    return read_json(path, "request envelope")
 
 
 def _phase_for(last_rc: Optional[int], *, in_flight: bool) -> TeePhase:

@@ -25,8 +25,10 @@ protocol layer). What this module does guarantee:
 - Create decidability: the completion marker distinguishes a finished
   create from a crashed, partial one. A partial tree reads as absent (the
   initial state) and is discarded and rebuilt on the next create.
-- Version CAS: record updates require the expected version and bump it by
-  one under the state lock, so stale writers cannot clobber newer records.
+- One record write path: every update after create is a read-modify-write
+  under the state lock that validates the state edge and bumps the version
+  by one; the CAS form additionally requires the expected version, so
+  stale writers cannot clobber newer records.
 - Identifier freshness: the stage counter is fsynced before any directory
   is created, so crashes may leave gaps but never duplicates.
 - Write-once artifacts: responses and stage records cannot be overwritten.
@@ -400,59 +402,33 @@ class StateDir:
         mutation: Callable[[CompositeStateRecord], CompositeStateRecord],
         expected_ver: int,
     ) -> CompositeStateRecord:
-        """Compare-and-swap update under the state lock.
-
-        Fails without writing when the on-disk version is not expected_ver
-        or when the mutation's state edge is illegal. The new record is
-        durable before this returns.
+        """Compare-and-swap: :meth:`update_record_rmw` that first requires
+        the on-disk version to be expected_ver, else raises VersionConflict.
         """
-        with self.state_lock():
-            current = self.read_record()
-            if current is None:
-                raise AbsentRecordError(f"{self.cid}: no record")
+        def cas(current: CompositeStateRecord) -> CompositeStateRecord:
             if current.ver != expected_ver:
                 raise VersionConflict(
                     f"{self.cid}: expected ver {expected_ver}, found {current.ver}"
                 )
-            desired = mutation(current)
-            if desired.cid != current.cid:
-                raise ContractViolation("cid is immutable")
-            if not validate_transition(current.state, desired.state):
-                raise TransitionError(
-                    f"{self.cid}: illegal transition {current.state.value} -> {desired.state.value}"
-                )
-            new = desired.with_state(desired.state, ver=expected_ver + 1)
-            crash_if("update:pre-write")
-            fsutil.atomic_write_json(self.state_path, record_to_json(new))
-            return new
+            return mutation(current)
 
-    def update_record_retry(
-        self,
-        mutation: Callable[[CompositeStateRecord], CompositeStateRecord],
-        *,
-        attempts: int = 64,
-    ) -> CompositeStateRecord:
-        """Retry-loop CAS for updates that tolerate concurrent writers."""
-        for _ in range(attempts):
-            current = self.read_record()
-            if current is None:
-                raise AbsentRecordError(f"{self.cid}: no record")
-            try:
-                return self.update_record(mutation, current.ver)
-            except VersionConflict:
-                time.sleep(0.002)
-        raise VersionConflict(f"{self.cid}: CAS did not converge after {attempts} attempts")
+        new = self.update_record_rmw(cas)
+        if new is None:
+            raise AbsentRecordError(f"{self.cid}: no record")
+        return new
 
     def update_record_rmw(
         self,
         mutation: Callable[[CompositeStateRecord], CompositeStateRecord],
     ) -> Optional[CompositeStateRecord]:
-        """Read-modify-write wholly under the state lock (no CAS retries).
+        """The one write path for the record after init.
 
-        Linearizable like the CAS path and still strictly version-ordered;
-        suited to high-contention summary updates. Returning the input
-        unchanged from the mutation skips the write. Returns None when no
-        record exists.
+        Reads, mutates and writes wholly under the state lock, so updates
+        are linearizable and strictly version-ordered. Fails without
+        writing when the mutation raises, changes the cid or takes an
+        illegal state edge. Returning the input unchanged from the mutation
+        skips the write. The new record is durable before this returns.
+        Returns None when no record exists.
         """
         with self.state_lock():
             current = self.read_record()
@@ -468,6 +444,7 @@ class StateDir:
                     f"{self.cid}: illegal transition {current.state.value} -> {desired.state.value}"
                 )
             new = desired.with_state(desired.state, ver=current.ver + 1)
+            crash_if("update:pre-write")
             fsutil.atomic_write_json(self.state_path, record_to_json(new))
             return new
 

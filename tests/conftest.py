@@ -6,19 +6,8 @@ from pathlib import Path
 import pytest
 
 from c4run import runtime
-from c4run.bundle import write_test_bundle
+from c4run.bundle import write_sleep_anchor_bundle, write_test_bundle
 from c4run.statedir import StateDir
-
-SLEEP_ANCHOR = "#!/bin/sh\nexec sleep 300\n"
-
-
-def make_sleep_anchor_bundle(path: Path, **kwargs) -> Path:
-    """Bundle whose anchor just sleeps; the test spools requests itself."""
-    bundle = write_test_bundle(path, anchor_args=["bin/sleep-anchor.sh"], **kwargs)
-    script = bundle / "rootfs" / "bin" / "sleep-anchor.sh"
-    script.write_text(SLEEP_ANCHOR)
-    script.chmod(0o755)
-    return bundle
 
 
 @pytest.fixture
@@ -35,7 +24,7 @@ def sim_bundle(tmp_path: Path) -> Path:
 
 @pytest.fixture
 def sleep_anchor_bundle(tmp_path: Path) -> Path:
-    return make_sleep_anchor_bundle(tmp_path / "bundle-sleep")
+    return write_sleep_anchor_bundle(tmp_path / "bundle-sleep")
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from c4run.bench.campaigns import (
     run_crash_campaign,
     run_lifecycle_campaign,
 )
+from c4run.bundle import write_sleep_anchor_bundle
 from c4run.errors import C4Error
 from c4run.lifecycle import (
     CompositeStateRecord,
@@ -35,7 +36,6 @@ from c4run.lifecycle import (
 )
 from c4run.protocol import SessionState, build_request, validate_request
 from c4run.statedir import StateDir
-from conftest import make_sleep_anchor_bundle
 from oracles import EntrypointModel, oracle_reduce
 
 
@@ -158,7 +158,7 @@ def _run_entrypoint(root, bundle, op: str, cid: str) -> int:
 def test_criterion_4_multicall_conformance(tmp_path):
     root = tmp_path / "state"
     root.mkdir()
-    bundle = make_sleep_anchor_bundle(tmp_path / "bundle")
+    bundle = write_sleep_anchor_bundle(tmp_path / "bundle")
     rng = random.Random(20260810)
     sequences, ops_per_sequence = 400, 25
     total = 0
@@ -287,7 +287,7 @@ def test_criterion_7_crash_safety(tmp_path):
     _report(
         7,
         report["all_ok"],
-        f"{report['points']} crash points across create/claim/accept/execute/finalize/response: "
+        f"{report['points']} crash points across create/delete/claim/accept/eid/update/execute/finalize/response: "
         + ("all recovered with audits green" if report["all_ok"] else f"failures at {failing}"),
     )
 

@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from c4run.backends import load_receipts
-from c4run.crashpoints import InjectedCrash, armed
+from c4run.crashpoints import CRASH_POINTS, InjectedCrash, armed
 from c4run.errors import IllegalStateError
 from c4run.fsutil import read_json
 from c4run.protocol import ResponseStatus, build_request, request_to_envelope, response_from_envelope
@@ -157,3 +160,20 @@ def test_recovered_instance_passes_audits(running_instance):
             pass
     ipr = audit_artifacts(sd)
     assert ipr.passed, ipr.violations
+
+
+def test_crash_registry_lists_every_crash_point_in_src():
+    src = Path(__file__).resolve().parent.parent / "src"
+    calls = [
+        node
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "crash_if"
+    ]
+    assert all(isinstance(c.args[0], ast.Constant) for c in calls), "crash_if takes a literal name"
+    names = [c.args[0].value for c in calls]
+    assert len(names) == len(set(names)), "each crash point is reached from one place"
+    assert set(names) == set(CRASH_POINTS)
+    with pytest.raises(ValueError):
+        with armed("no:such-point"):
+            pass

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from c4run import runtime
-from c4run.bundle import write_test_bundle
+from c4run.bundle import write_sleep_anchor_bundle, write_test_bundle
 from c4run.errors import (
     AbsentRecordError,
     IllegalStateError,
@@ -16,7 +16,6 @@ from c4run.errors import (
 from c4run.lifecycle import LifecycleState as L
 from c4run.serve import ServeLoop
 from c4run.statedir import StateDir
-from conftest import make_sleep_anchor_bundle
 from oracles import oracle_reduce
 
 
@@ -124,7 +123,7 @@ def test_kill_on_prepared_stops_without_anchor(root, sim_bundle):
 def test_kill_with_stage_executing_cancels_cleanly(root, tmp_path):
     import threading
 
-    bundle = make_sleep_anchor_bundle(tmp_path / "b-kill")
+    bundle = write_sleep_anchor_bundle(tmp_path / "b-kill")
     cid = "k3"
     runtime.cmd_create(root, cid, bundle)
     runtime.cmd_start(root, cid)
@@ -163,6 +162,23 @@ def test_delete_preconditions(root, sleep_anchor_bundle):
     runtime.cmd_delete(root, cid, force=True)  # kill-then-delete
     assert StateDir(root, cid).read_record() is None
     runtime.cmd_delete(root, cid)  # repeated delete succeeds
+
+
+def test_delete_failed_instance_ends_its_anchor(root, running_instance):
+    from c4run.protocol import build_request, request_to_envelope
+
+    sd = running_instance
+    req = build_request(sd.load_session(), "fail", b"p")
+    sd.spool_request(request_to_envelope(req), req.request_id)
+    ServeLoop(sd, workers=1, fail_fast=True).process_next()
+    rec = sd.read_record()
+    assert rec.state is L.FAILED  # fail-fast: terminal while the anchor lives
+    os.kill(rec.anchor_pid, 0)
+    assert runtime.cmd_kill(root, sd.cid)["noop"] is True
+    runtime.cmd_delete(root, sd.cid)
+    assert not sd.path.exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(rec.anchor_pid, 0)
 
 
 def test_stale_running_state_detected(root, sleep_anchor_bundle):

@@ -10,10 +10,10 @@ from collections import Counter
 
 from c4run import runtime
 from c4run.backends import load_receipts
+from c4run.bundle import write_sleep_anchor_bundle
 from c4run.protocol import build_request, request_to_envelope
 from c4run.serve import ServeLoop
 from c4run.statedir import StateDir
-from conftest import make_sleep_anchor_bundle
 
 
 def _spool(sd, stage, n=1, table_ms=None):
@@ -36,7 +36,7 @@ def _serve_proc(root, cid, *extra):
 
 
 def test_forever_serve_exits_cleanly_on_sigterm(root, tmp_path):
-    bundle = make_sleep_anchor_bundle(tmp_path / "b")
+    bundle = write_sleep_anchor_bundle(tmp_path / "b")
     cid = "sig1"
     runtime.cmd_create(root, cid, bundle)
     runtime.cmd_start(root, cid)
@@ -60,7 +60,7 @@ def test_forever_serve_exits_cleanly_on_sigterm(root, tmp_path):
 
 
 def test_sigkilled_serve_mid_stage_recovers_exactly_once(root, tmp_path):
-    bundle = make_sleep_anchor_bundle(tmp_path / "b")
+    bundle = write_sleep_anchor_bundle(tmp_path / "b")
     cid = "sig2"
     runtime.cmd_create(root, cid, bundle)
     runtime.cmd_start(root, cid)
@@ -89,7 +89,7 @@ def test_sigkilled_serve_mid_stage_recovers_exactly_once(root, tmp_path):
 
 
 def test_kill_escalates_past_term_ignoring_anchor(root, tmp_path):
-    bundle = make_sleep_anchor_bundle(tmp_path / "b")
+    bundle = write_sleep_anchor_bundle(tmp_path / "b")
     stubborn = bundle / "rootfs" / "bin" / "sleep-anchor.sh"
     stubborn.write_text("#!/bin/sh\ntrap '' TERM\nwhile :; do sleep 0.2; done\n")
     stubborn.chmod(0o755)

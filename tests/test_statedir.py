@@ -120,14 +120,25 @@ def test_concurrent_cas_exactly_one_winner(root, sim_bundle):
         assert sorted(outcomes) == ["conflict", "ok"], f"iteration {i}: {outcomes}"
 
 
-def test_version_monotone_under_concurrent_retries(root, sim_bundle):
+def test_update_record_rmw_skips_refuses_and_reports_absent(root, sim_bundle):
+    sd = _init(root, sim_bundle)
+    assert sd.update_record_rmw(lambda r: r.with_state(L.STOPPED, exit_code=0)).ver == 2
+    before = sd.state_path.read_bytes()
+    assert sd.update_record_rmw(lambda r: r).ver == 2  # unchanged input: no write
+    with pytest.raises(TransitionError):
+        sd.update_record_rmw(lambda r: r.with_state(L.RUNNING, exit_code=None))
+    assert sd.state_path.read_bytes() == before
+    assert StateDir(root, "nope").update_record_rmw(lambda r: r.with_state(L.RUNNING)) is None
+
+
+def test_version_monotone_under_concurrent_rmw(root, sim_bundle):
     sd = _init(root, sim_bundle)
     writers, per_writer = 8, 25
 
     def work():
         own = StateDir(root, "c1")
         for _ in range(per_writer):
-            own.update_record_retry(lambda r: r.with_state(r.state))
+            own.update_record_rmw(lambda r: r.with_state(r.state))
 
     threads = [threading.Thread(target=work) for _ in range(writers)]
     for t in threads:
