@@ -2,11 +2,11 @@
 
 These implement the invariant checks the correctness metrics are built on:
 per accepted request the audit verifies a fresh stage directory, a
-well-formed record, the run log, exactly one response whose fields match
-the record, and that the instance record's summary fields track the newest
-stage record. Validation is over artifacts only — the audit never inspects
-runtime internals except the execution-receipt journal exposed for
-exactly-once verification.
+well-formed record, the run log, and exactly one response whose fields
+match the record; the instance record is checked against the projection
+and the replayed termination journal. Validation is over artifacts only —
+the audit never inspects runtime internals except the execution-receipt
+journal exposed for exactly-once verification.
 """
 
 from __future__ import annotations
@@ -131,27 +131,7 @@ def audit_artifacts(sd: StateDir, *, c_untrusted: int = 252) -> AuditResult:
     for rid, rec in records.items():
         if counts.get(rid, 0) == 0 and rec.evidence_type != _NO_EXECUTION_EVIDENCE:
             result.flag(f"{rid}: executed record without a receipt")
-
-    summary_violations = _summary_matches_newest(sd, records)
-    result.violations.extend(summary_violations)
     return result
-
-
-def _summary_matches_newest(sd: StateDir, records: dict) -> list[str]:
-    out = []
-    rec = sd.read_record()
-    if rec is None:
-        return ["state record absent during audit"]
-    if records:
-        newest = max(records.values(), key=lambda r: (r.finished_at, r.eid))
-        if rec.last_stage != newest.stage or rec.last_rc != newest.rc or rec.last_eid != newest.eid:
-            out.append(
-                "state summary (%s, %s, %s) != newest record (%s, %s, %s)"
-                % (rec.last_stage, rec.last_rc, rec.last_eid, newest.stage, newest.rc, newest.eid)
-            )
-    elif rec.last_eid is not None:
-        out.append("state summary names a stage but no records exist")
-    return out
 
 
 def audit_state_consistency(sd: StateDir, *, c_untrusted: int = 252) -> AuditResult:
@@ -201,7 +181,4 @@ def audit_state_consistency(sd: StateDir, *, c_untrusted: int = 252) -> AuditRes
     else:
         if rec.exit_code is not None:
             result.flag("non-terminal record carries an exit code")
-
-    records = {r.request_id: r for r in sd.stage_records()}
-    result.violations.extend(_summary_matches_newest(sd, records))
     return result

@@ -609,6 +609,19 @@ def _crash_delete(root: Path, cid: str, bundle: Path, point: str, expected: str)
     return {"phase": "delete", "ok": crashed and absent_after and code == 0 and not sd.path.exists()}
 
 
+def _crash_update(root: Path, cid: str, bundle: Path, point: str, expected: str) -> dict:
+    sd = StateDir(root, cid)
+    runtime.cmd_create(root, cid, bundle)
+    before = sd.read_record()
+    crashed = _crashes(point, runtime.cmd_kill, root, cid)
+    unchanged = sd.read_record() == before
+    code, _ = _invoke(runtime.cmd_kill, root, cid)
+    after = sd.read_record()
+    settled = code == 0 and (after.state.value, after.exit_code) == ("stopped", 0)
+    runtime.cmd_delete(root, cid)
+    return {"phase": "update", "ok": crashed and unchanged and settled}
+
+
 def _crash_pipeline(root: Path, cid: str, bundle: Path, point: str, expected: str) -> dict:
     sd = StateDir(root, cid)
     runtime.cmd_create(root, cid, bundle)
@@ -655,7 +668,7 @@ def _crash_pipeline(root: Path, cid: str, bundle: Path, point: str, expected: st
     }
 
 
-_CRASH_SCENARIOS = {"absent": _crash_create, "deleted": _crash_delete}
+_CRASH_SCENARIOS = {"absent": _crash_create, "deleted": _crash_delete, "unchanged": _crash_update}
 
 
 def run_crash_campaign(workdir: Path) -> dict:

@@ -22,6 +22,9 @@ from contextlib import contextmanager
 #: Every crash point -> expected outcome after recovery:
 #: "absent"           a crashed create reads as absent; a retry rebuilds it
 #: "deleted"          a crashed delete reads as absent; a repeat removes the tree
+#: "unchanged"        a crashed record update (a kill on a Prepared instance)
+#:                    leaves the record and its version as they were; a
+#:                    repeated kill settles Stopped with exit code 0
 #: "completed"        the request completes with exactly one execution
 #: "failed_ambiguous" the request fails safely and is never re-executed
 CRASH_POINTS: dict[str, str] = {
@@ -37,13 +40,12 @@ CRASH_POINTS: dict[str, str] = {
     "eid:pre-write": "completed",
     "eid:post-write": "completed",
     "execute:post-marker": "failed_ambiguous",
-    "update:pre-write": "failed_ambiguous",
+    "update:pre-write": "unchanged",
     "execute:pre-prepare": "failed_ambiguous",
     "execute:pre-backend": "failed_ambiguous",
     "finalize:pre-meta": "failed_ambiguous",
     "finalize:post-log": "failed_ambiguous",
     "finalize:post-meta": "completed",
-    "finalize:post-state": "completed",
     "response:pre-write": "completed",
     "response:post-write": "completed",
 }

@@ -320,8 +320,10 @@ def evaluate_observability(
 
 @dataclass(frozen=True)
 class CompositeStateRecord:
-    """The per-instance record persisted as state.json.
+    """The per-instance lifecycle record persisted as state.json.
 
+    It holds the lifecycle alone; the trust, health and phase flags are
+    derived from the stage artifacts when they are read, never stored.
     Invariants enforced here: the record never stores Init (absence encodes
     it), exit_code is present exactly on terminal states and fits in a byte,
     and the projected status always matches the internal state.
@@ -331,12 +333,6 @@ class CompositeStateRecord:
     state: LifecycleState
     ver: int
     exit_code: Optional[int] = None
-    trust_flag: TrustFlag = TrustFlag.UNKNOWN
-    health_flag: HealthFlag = HealthFlag.UNKNOWN
-    tee_phase: TeePhase = TeePhase.IDLE
-    last_stage: Optional[str] = None
-    last_rc: Optional[int] = None
-    last_eid: Optional[str] = None
     anchor_pid: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -367,6 +363,7 @@ def evaluate_readiness(
     prepared_r: bool,
     prepared_t: bool,
     require_conf: bool,
+    trust: TrustFlag,
 ) -> bool:
     """Readiness as a derived predicate, never a lifecycle state.
 
@@ -379,7 +376,7 @@ def evaluate_readiness(
     if not prepared_r:
         return False
     if require_conf:
-        return prepared_t and rec.trust_flag is TrustFlag.TRUSTED
+        return prepared_t and trust is TrustFlag.TRUSTED
     return True
 
 

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from .backends.base import TIMEOUT_RC
 from .bundle import load_bundle
 from .errors import (
     AbsentRecordError,
@@ -39,10 +40,15 @@ from .fsutil import atomic_write_json
 from .lifecycle import (
     DEFAULT_UNTRUSTED_EXIT_CODE,
     EventSource,
+    HealthEvidence,
     LifecycleState,
+    ObservabilityEvidence,
     TERMINAL_STATES,
+    TeeEvidence,
     TerminationEvent,
     TerminationReason,
+    TrustEvidence,
+    evaluate_observability,
     evaluate_readiness,
     is_done,
     reduce_termination,
@@ -207,7 +213,13 @@ def cmd_start(root: Path, cid: str) -> dict:
 
 
 def cmd_state(root: Path, cid: str) -> dict:
-    """OCI-style status envelope plus the observability annotations."""
+    """OCI-style status envelope plus the observability annotations.
+
+    The record supplies the lifecycle; the flags are derived here from the
+    stage records and the in-flight markers. The newest record (by finish
+    time, then identifier) gives the phase's last exit; the newest record
+    of an executed stage gives the trust and health evidence.
+    """
     sd = _statedir(root, cid)
     rec = _require_record(sd)
     pid = rec.anchor_pid or sd.read_anchor_pid()
@@ -216,20 +228,34 @@ def cmd_state(root: Path, cid: str) -> dict:
         require_conf = load_bundle(sd.bundle_dir).c4.require_conf
     except C4Error:
         require_conf = False
+
+    def newest(records):
+        return max(records, key=lambda r: (r.finished_at, r.eid), default=None)
+
+    records = sd.stage_records()
+    last = newest(records)
+    executed = newest(r for r in records if r.evidence_type != "none")
+    trust_ev, health_ev = TrustEvidence(), HealthEvidence()
+    if executed is not None:
+        trust_ev = TrustEvidence(e_att=True, e_meas=executed.measurement_hash, e_bind=True)
+        health_ev = HealthEvidence(e_dep=True, e_res=True, e_perf=executed.rc != TIMEOUT_RC)
+    tee_ev = TeeEvidence(e_call=sd.in_flight_count(), e_exit=last.rc if last else None)
+    trust, health, phase = evaluate_observability(ObservabilityEvidence(trust_ev, health_ev, tee_ev))
     ready = evaluate_readiness(
         rec,
         prepared_r=alive,
-        prepared_t=rec.last_eid is not None,
+        prepared_t=last is not None,
         require_conf=require_conf,
+        trust=trust,
     )
     envelope = {
         "id": cid,
         "status": rec.oci_status.value,
         "bundle": str(sd.bundle_dir),
         "annotations": {
-            "trust_flag": rec.trust_flag.value,
-            "health_flag": rec.health_flag.value,
-            "tee_phase": rec.tee_phase.value,
+            "trust_flag": trust.value,
+            "health_flag": health.value,
+            "tee_phase": phase.value,
             "ready": ready,
         },
     }

@@ -20,10 +20,12 @@ instances on one instance directory:
   the backend twice for one accepted request.
 
 Fail-fast policy: a stage that reports a nonzero rc emits a TEE-error
-termination event and drives the instance record to Failed. Cancellations
-caused by kill are recorded as failed stage records but emit no error event
-(the kill event itself represents that outcome). With fail-fast off, stage
-failures are recorded in artifacts and summary fields only.
+termination event and drives the instance record to Failed. That is the
+only write of state.json serve makes: a stage's outcome lives in its own
+artifacts, from which `state` derives the trust, health and phase flags.
+Cancellations caused by kill are recorded as failed stage records but emit
+no error event (the kill event itself represents that outcome). With
+fail-fast off, stage failures are recorded in the stage artifacts only.
 """
 
 from __future__ import annotations
@@ -53,16 +55,10 @@ from .fsutil import read_json, remove_if_exists
 from .lifecycle import (
     CompositeStateRecord,
     EventSource,
-    HealthEvidence,
     LifecycleState,
-    ObservabilityEvidence,
-    TeeEvidence,
-    TeePhase,
     TERMINAL_STATES,
     TerminationEvent,
     TerminationReason,
-    TrustEvidence,
-    evaluate_observability,
     reduce_termination,
 )
 from .protocol import (
@@ -250,7 +246,6 @@ class ServeLoop:
         eid = self.sd.allocate_eid()
         self.sd.write_started_marker(req.request_id, eid, req.stage)
         crash_if("execute:post-marker")
-        self._mark_phase_active()
         return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at), None
 
     def _finalize_rejected(
@@ -362,8 +357,6 @@ class ServeLoop:
         crash_if("finalize:pre-meta")
         self.sd.write_stage_record(eid, record, stdout)
         crash_if("finalize:post-meta")
-        self._update_summary_fields(record, executed=evidence is not None)
-        crash_if("finalize:post-state")
         self._write_stage_response(req.request_id, record, stdout)
         self._cleanup_claim(req.request_id, item.claimed_path)
         if rc != 0 and not cancelled and self.fail_fast:
@@ -394,53 +387,6 @@ class ServeLoop:
         remove_if_exists(claimed_path)
 
     # -- record bookkeeping ---------------------------------------------------
-
-    def _mark_phase_active(self) -> None:
-        def mutate(rec: CompositeStateRecord) -> CompositeStateRecord:
-            if rec.state in TERMINAL_STATES:
-                return rec
-            return rec.with_state(rec.state, tee_phase=_phase_for(rec.last_rc, in_flight=True))
-        self.sd.update_record_rmw(mutate)
-
-    def _update_summary_fields(self, record: StageRecord, *, executed: bool) -> None:
-        def mutate(rec: CompositeStateRecord) -> CompositeStateRecord:
-            # Concurrent finalizers race here; the summary must track the
-            # NEWEST stage record (by finish time, then identifier), not the
-            # last writer. The phase is always refreshed: it reflects what
-            # is in flight right now, not which stage won the summary.
-            newest = record
-            if rec.last_eid is not None and rec.last_eid != record.eid:
-                try:
-                    incumbent = self.sd.read_stage_record(rec.last_eid)
-                except (FileNotFoundError, CorruptStateError):
-                    incumbent = None
-                if incumbent is not None and (incumbent.finished_at, incumbent.eid) > (
-                    record.finished_at,
-                    record.eid,
-                ):
-                    newest = incumbent
-            in_flight = self.sd.in_flight_count() > 0
-            changes: dict = {
-                "last_stage": newest.stage,
-                "last_rc": newest.rc,
-                "last_eid": newest.eid,
-                "tee_phase": _phase_for(newest.rc, in_flight=in_flight),
-            }
-            if executed and newest is record:
-                trust, health, _ = evaluate_observability(
-                    ObservabilityEvidence(
-                        trust=TrustEvidence(e_att=True, e_meas=record.measurement_hash, e_bind=True),
-                        health=HealthEvidence(
-                            e_dep=True, e_res=True, e_perf=record.rc != TIMEOUT_RC
-                        ),
-                        tee=TeeEvidence(e_call=1 if in_flight else 0, e_exit=record.rc),
-                    )
-                )
-                changes["trust_flag"] = trust
-                changes["health_flag"] = health
-            return rec.with_state(rec.state, **changes)
-
-        self.sd.update_record_rmw(mutate)
 
     def _fail_fast(self, eid: str, rc: int) -> None:
         """A genuine stage error drives the instance record to Failed."""
@@ -585,17 +531,17 @@ class ServeLoop:
             self._cleanup_claim(request_id, claimed)
             return "cleaned"
 
+        # meta.json is only written while the started marker exists, and the
+        # marker only goes once the response is written: a claim with a
+        # record but no response always still has its marker.
         marker = self.sd.read_started_marker(request_id)
         record = None
         if marker is not None and self.sd.meta_path(marker["eid"]).exists():
             record = self.sd.read_stage_record(marker["eid"])
-        if record is None:
-            record = self.sd.find_stage_record(request_id)
 
         if record is not None:
             # Executed and recorded; regenerate the byte-identical response.
             output = self.sd.run_log_path(record.eid).read_bytes()
-            self._update_summary_fields(record, executed=record.evidence_type != "none")
             self._write_stage_response(request_id, record, output)
             self._cleanup_claim(request_id, claimed)
             if record.rc != 0 and record.failure_reason != "cancelled" and self.fail_fast:
@@ -625,7 +571,6 @@ class ServeLoop:
             )
             logger.warning("%s: ambiguous crashed stage for %s; failing it", self.sd.cid, request_id)
             self.sd.write_stage_record(marker["eid"], record, b"")
-            self._update_summary_fields(record, executed=False)
             self._write_stage_response(request_id, record, b"")
             self._cleanup_claim(request_id, claimed)
             if self.fail_fast:
@@ -649,13 +594,3 @@ class ServeLoop:
 
         self.sd.requeue_claimed(claimed)
         return "requeued"
-
-
-def _phase_for(last_rc: Optional[int], *, in_flight: bool) -> TeePhase:
-    """Persisted phase: active while any stage is in flight, error when the
-    newest terminal stage failed, idle otherwise."""
-    if in_flight:
-        return TeePhase.ACTIVE
-    if last_rc is not None and last_rc != 0:
-        return TeePhase.ERROR
-    return TeePhase.IDLE

@@ -2,7 +2,7 @@
 
 Layout under ``<root>/<cid>/``:
 
-    state.json            instance record (see CompositeStateRecord)
+    state.json            lifecycle record (see CompositeStateRecord)
     session.json          session parameters + replay bookkeeping
     requests/             pending request files <request_id>.req
     requests/claimed/     claimed request files (+ .started markers)
@@ -61,11 +61,8 @@ from .errors import (
 )
 from .lifecycle import (
     CompositeStateRecord,
-    HealthFlag,
     LifecycleState,
-    TeePhase,
     TerminationEvent,
-    TrustFlag,
     EventSource,
     TerminationReason,
     validate_transition,
@@ -124,11 +121,8 @@ def record_to_json(rec: CompositeStateRecord) -> dict:
         "state": rec.state.value,
         "ver": rec.ver,
         "oci_status": rec.oci_status.value,
-        "trust_flag": rec.trust_flag.value,
-        "health_flag": rec.health_flag.value,
-        "tee_phase": rec.tee_phase.value,
     }
-    for key in ("exit_code", "last_stage", "last_rc", "last_eid", "anchor_pid"):
+    for key in ("exit_code", "anchor_pid"):
         val = getattr(rec, key)
         if val is not None:
             obj[key] = val
@@ -141,12 +135,6 @@ def record_from_json(obj: dict) -> CompositeStateRecord:
         state=LifecycleState(obj["state"]),
         ver=int(obj["ver"]),
         exit_code=obj.get("exit_code"),
-        trust_flag=TrustFlag(obj["trust_flag"]),
-        health_flag=HealthFlag(obj["health_flag"]),
-        tee_phase=TeePhase(obj["tee_phase"]),
-        last_stage=obj.get("last_stage"),
-        last_rc=obj.get("last_rc"),
-        last_eid=obj.get("last_eid"),
         anchor_pid=obj.get("anchor_pid"),
     )
 

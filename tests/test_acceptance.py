@@ -318,13 +318,14 @@ def test_criterion_8_projection_and_readiness():
             state=state,
             ver=rng.randrange(1, 100),
             exit_code=rng.randrange(256) if state in (L.STOPPED, L.FAILED) else None,
-            trust_flag=list(TrustFlag)[rng.randrange(3)],
         )
+        trust = list(TrustFlag)[rng.randrange(3)]
         ready = evaluate_readiness(
             rec,
             prepared_r=bool(rng.getrandbits(1)),
             prepared_t=bool(rng.getrandbits(1)),
             require_conf=bool(rng.getrandbits(1)),
+            trust=trust,
         )
         if ready and state is not L.RUNNING:
             counterexamples += 1

@@ -52,12 +52,15 @@ def test_audit_flags_deleted_response(root, sim_bundle):
     runtime.cmd_delete(root, "a3")
 
 
-def test_audit_flags_tampered_summary(root, sim_bundle):
+def test_audit_flags_tampered_exit_code(root, sim_bundle):
     sd = _healthy_round(root, sim_bundle, "a4")
     raw = json.loads(sd.state_path.read_text())
-    raw["last_rc"] = 99
+    assert (raw["state"], raw["exit_code"]) == ("stopped", 0)
+    raw["exit_code"] = 9
     sd.state_path.write_text(json.dumps(raw))
-    assert not audit_state_consistency(sd).passed
+    result = audit_state_consistency(sd)
+    assert not result.passed
+    assert any("matches no replayed prefix" in v for v in result.violations), result.violations
     runtime.cmd_delete(root, "a4")
 
 

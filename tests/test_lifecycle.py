@@ -246,17 +246,18 @@ def test_record_invariants():
 
 def test_readiness_examples():
     running = _record(L.RUNNING)
-    assert evaluate_readiness(running, prepared_r=True, prepared_t=False, require_conf=False)
+    unknown = TrustFlag.UNKNOWN
+    assert evaluate_readiness(running, prepared_r=True, prepared_t=False, require_conf=False, trust=unknown)
     prepared = _record(L.PREPARED)
-    assert not evaluate_readiness(prepared, prepared_r=True, prepared_t=True, require_conf=False)
-    assert not evaluate_readiness(running, prepared_r=True, prepared_t=False, require_conf=True)
+    assert not evaluate_readiness(prepared, prepared_r=True, prepared_t=True, require_conf=False, trust=unknown)
+    assert not evaluate_readiness(running, prepared_r=True, prepared_t=False, require_conf=True, trust=unknown)
 
 
 def test_readiness_requires_trust_when_confidential():
-    running = _record(L.RUNNING, trust_flag=TrustFlag.TRUSTED)
-    assert evaluate_readiness(running, prepared_r=True, prepared_t=True, require_conf=True)
-    unknown = _record(L.RUNNING)
-    assert not evaluate_readiness(unknown, prepared_r=True, prepared_t=True, require_conf=True)
+    running = _record(L.RUNNING)
+    for trust in TrustFlag:
+        ready = evaluate_readiness(running, prepared_r=True, prepared_t=True, require_conf=True, trust=trust)
+        assert ready is (trust is TrustFlag.TRUSTED)
 
 
 @given(
@@ -268,7 +269,7 @@ def test_readiness_requires_trust_when_confidential():
 )
 def test_ready_implies_running(state, prepared_r, prepared_t, require_conf, trust):
     exit_code = 0 if state in (L.STOPPED, L.FAILED) else None
-    rec = CompositeStateRecord(cid="c", state=state, ver=1, exit_code=exit_code, trust_flag=trust)
-    if evaluate_readiness(rec, prepared_r, prepared_t, require_conf):
+    rec = CompositeStateRecord(cid="c", state=state, ver=1, exit_code=exit_code)
+    if evaluate_readiness(rec, prepared_r, prepared_t, require_conf, trust):
         assert state is L.RUNNING
         assert prepared_r

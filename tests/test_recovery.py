@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from c4run import runtime
 from c4run.backends import load_receipts
 from c4run.crashpoints import CRASH_POINTS, InjectedCrash, armed
 from c4run.errors import IllegalStateError
@@ -108,9 +109,10 @@ def test_crash_after_meta_replays_response_byte_identically(running_instance):
     expected_bytes = (json_canonical(response_to_envelope(expected)) + "\n").encode()
     assert sd.response_path(req.request_id).read_bytes() == expected_bytes
 
-    # state summary reconciled during recovery
-    rec = sd.read_record()
-    assert rec.last_eid == record.eid and rec.last_rc == 0
+    # the replayed record is what state reports from: nothing left in flight
+    annotations = runtime.cmd_state(sd.path.parent, sd.cid)["annotations"]
+    assert (annotations["trust_flag"], annotations["health_flag"]) == ("trusted", "healthy")
+    assert annotations["tee_phase"] == "idle"
 
 
 def test_crash_after_response_only_cleans_up(running_instance):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from c4run import runtime
+from c4run.backends.base import TIMEOUT_RC
 from c4run.bundle import write_sleep_anchor_bundle, write_test_bundle
 from c4run.errors import (
     AbsentRecordError,
@@ -15,7 +16,7 @@ from c4run.errors import (
 )
 from c4run.lifecycle import LifecycleState as L
 from c4run.serve import ServeLoop
-from c4run.statedir import StateDir
+from c4run.statedir import StageRecord, StateDir
 from oracles import oracle_reduce
 
 
@@ -50,6 +51,62 @@ def test_full_cycle_with_reference_anchor(root, sim_bundle):
     runtime.cmd_delete(root, cid)
     with pytest.raises(AbsentRecordError):
         runtime.cmd_state(root, cid)
+
+
+def _record_stage(sd: StateDir, *, rc: int, finished_at: float, executed: bool = True) -> str:
+    """Write one stage record straight into the state dir, as serve would."""
+    eid = sd.allocate_eid()
+    record = StageRecord(
+        eid=eid,
+        stage="hello",
+        request_id=f"r-{eid}",
+        backend="sim",
+        tee_type="sim",
+        rc=rc,
+        status="completed" if rc == 0 else "failed",
+        started_at=finished_at - 1.0,
+        finished_at=finished_at,
+        evidence_type="sim-measurement" if executed else "none",
+        measurement_hash="ab" * 32 if executed else "",
+        session_cid=sd.cid,
+        session_epoch=1,
+        session_seq=0,
+    )
+    sd.write_stage_record(eid, record, b"")
+    return eid
+
+
+def _flags(root, cid) -> tuple:
+    ann = runtime.cmd_state(root, cid)["annotations"]
+    return ann["trust_flag"], ann["health_flag"], ann["tee_phase"]
+
+
+def test_state_trust_and_health_unknown_before_an_executed_stage(root, sim_bundle):
+    runtime.cmd_create(root, "f1", sim_bundle)
+    sd = StateDir(root, "f1")
+    assert _flags(root, "f1") == ("unknown", "unknown", "idle")
+    _record_stage(sd, rc=127, finished_at=100.0, executed=False)  # stage not found
+    assert _flags(root, "f1") == ("unknown", "unknown", "error")
+    _record_stage(sd, rc=0, finished_at=200.0)
+    assert _flags(root, "f1") == ("trusted", "healthy", "idle")
+
+
+def test_state_flags_follow_the_later_finished_record(root, sim_bundle):
+    runtime.cmd_create(root, "f2", sim_bundle)
+    sd = StateDir(root, "f2")
+    assert _record_stage(sd, rc=TIMEOUT_RC, finished_at=200.0) == "eid-0001"
+    assert _record_stage(sd, rc=0, finished_at=100.0) == "eid-0002"
+    # eid-0001 finished later: it decides, although eid-0002 sorts after it
+    assert _flags(root, "f2") == ("trusted", "degraded", "error")
+
+
+def test_state_phase_error_outranks_a_stage_in_flight(root, sim_bundle):
+    runtime.cmd_create(root, "f3", sim_bundle)
+    sd = StateDir(root, "f3")
+    _record_stage(sd, rc=7, finished_at=100.0)
+    sd.write_started_marker("r-in-flight", sd.allocate_eid(), "sleep")
+    assert sd.in_flight_count() == 1
+    assert _flags(root, "f3")[2] == "error"
 
 
 def test_create_idempotent_and_invalid_bundle(root, sim_bundle, tmp_path):

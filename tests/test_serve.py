@@ -3,10 +3,11 @@ import time
 
 import pytest
 
+from c4run import runtime
 from c4run.backends import load_receipts
 from c4run.fsutil import read_json
 from c4run.errors import IllegalStateError
-from c4run.lifecycle import LifecycleState as L, TeePhase
+from c4run.lifecycle import LifecycleState as L
 from c4run.protocol import (
     ResponseStatus,
     build_request,
@@ -33,6 +34,10 @@ def _response(sd: StateDir, rid):
     return response_from_envelope(read_json(sd.response_path(rid), "response"))
 
 
+def _annotations(sd: StateDir) -> dict:
+    return runtime.cmd_state(sd.path.parent, sd.cid)["annotations"]
+
+
 def test_single_request_full_pipeline(running_instance):
     sd = running_instance
     (req,) = _spool(sd)
@@ -42,7 +47,7 @@ def test_single_request_full_pipeline(running_instance):
     assert result.eid == "eid-0001"
 
     record = sd.read_stage_record("eid-0001")
-    assert record.request_id == req.request_id
+    assert record.request_id == req.request_id and record.stage == "hello"
     assert record.rc == 0 and record.status == "completed"
     assert record.session_epoch == req.epoch and record.session_seq == req.seq
     assert sd.run_log_path("eid-0001").read_bytes() == b"hello from eid-0001\n"
@@ -52,9 +57,9 @@ def test_single_request_full_pipeline(running_instance):
     assert verify_response(resp, session, {req.request_id})
     assert resp.status is ResponseStatus.COMPLETED and resp.eid == "eid-0001"
 
-    rec = sd.read_record()
-    assert rec.last_stage == "hello" and rec.last_rc == 0 and rec.last_eid == "eid-0001"
-    assert rec.tee_phase is TeePhase.IDLE
+    annotations = _annotations(sd)
+    assert (annotations["trust_flag"], annotations["health_flag"]) == ("trusted", "healthy")
+    assert annotations["tee_phase"] == "idle"
     assert req.request_id in session.seen_request_ids
     assert sd.claimed_requests() == [] and sd.started_markers() == []
 
@@ -163,7 +168,8 @@ def test_fail_stage_drives_instance_failed_under_fail_fast(running_instance):
     assert result.terminal is StagePipelineState.FAILED and result.rc == 7
     rec = sd.read_record()
     assert rec.state is L.FAILED and rec.exit_code == 7
-    assert rec.tee_phase is TeePhase.ERROR
+    assert sd.read_stage_record(result.eid).rc == 7
+    assert _annotations(sd)["tee_phase"] == "error"
     resp = _response(sd, req.request_id)
     assert resp.status is ResponseStatus.FAILED and resp.rc == 7
 
@@ -176,8 +182,18 @@ def test_fail_stage_without_fail_fast_keeps_running(running_instance):
     assert result.rc == 7
     rec = sd.read_record()
     assert rec.state is L.RUNNING
-    assert rec.last_rc == 7 and rec.tee_phase is TeePhase.ERROR
+    assert sd.read_stage_record(result.eid).rc == 7
+    assert _annotations(sd)["tee_phase"] == "error"
     assert sd.load_events() == []
+
+
+def test_successful_stage_leaves_instance_record_unwritten(running_instance):
+    sd = running_instance
+    before = sd.read_record()
+    _spool(sd)
+    result = ServeLoop(sd, workers=1).process_next()
+    assert result.terminal is StagePipelineState.COMPLETED
+    assert sd.read_record() == before  # same state, same ver
 
 
 def test_unknown_stage_fails_without_execution(running_instance):
@@ -273,8 +289,9 @@ def test_tee_phase_active_while_stage_in_flight(running_instance):
     t.start()
     phases = set()
     for _ in range(50):
-        phases.add(sd.read_record().tee_phase)
+        phases.add(_annotations(sd)["tee_phase"])
         time.sleep(0.02)
     t.join(timeout=5)
-    assert TeePhase.ACTIVE in phases
-    assert sd.read_record().tee_phase is TeePhase.IDLE
+    assert not t.is_alive()
+    assert "active" in phases
+    assert _annotations(sd)["tee_phase"] == "idle"
