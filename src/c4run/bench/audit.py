@@ -25,6 +25,7 @@ from ..lifecycle import (
     reduce_termination,
 )
 from ..protocol import ResponseStatus, response_from_envelope
+from ..runtime import bundle_c_untrusted
 from ..statedir import StateDir
 
 #: rc values a stage record may carry without an execution receipt
@@ -48,7 +49,7 @@ class AuditResult:
         return {"checked": self.checked, "passed": self.passed, "violations": self.violations}
 
 
-def audit_artifacts(sd: StateDir, *, c_untrusted: int = 252) -> AuditResult:
+def audit_artifacts(sd: StateDir) -> AuditResult:
     """Per-stage artifact completeness and consistency (the IPR checks)."""
     result = AuditResult()
     try:
@@ -134,8 +135,9 @@ def audit_artifacts(sd: StateDir, *, c_untrusted: int = 252) -> AuditResult:
     return result
 
 
-def audit_state_consistency(sd: StateDir, *, c_untrusted: int = 252) -> AuditResult:
-    """state.json against independently replayed outcomes (the SCR checks)."""
+def audit_state_consistency(sd: StateDir) -> AuditResult:
+    """state.json against independently replayed outcomes (the SCR checks),
+    under the bundle's trust-violation exit code, as the runtime settles."""
     result = AuditResult()
     result.checked = 1
     try:
@@ -158,6 +160,7 @@ def audit_state_consistency(sd: StateDir, *, c_untrusted: int = 252) -> AuditRes
             result.flag("terminal record without exit code")
         events = sd.load_events()
         if events:
+            c_untrusted = bundle_c_untrusted(sd)
             # The terminal outcome froze at some point in the journal; an
             # event observed after that (a stage settling post-kill, say)
             # must not retroactively flag the record, so the replay accepts

@@ -37,8 +37,6 @@ CRASH_POINTS: dict[str, str] = {
     "claim:post-rename": "completed",
     "accept:pre-commit": "completed",
     "accept:post-commit": "completed",
-    "eid:pre-write": "completed",
-    "eid:post-write": "completed",
     "execute:post-marker": "failed_ambiguous",
     "update:pre-write": "unchanged",
     "execute:pre-prepare": "failed_ambiguous",

@@ -73,7 +73,8 @@ def _require_record(sd: StateDir):
     return rec
 
 
-def _c_untrusted(sd: StateDir) -> int:
+def bundle_c_untrusted(sd: StateDir) -> int:
+    """The bundle's trust-violation exit code; the default if unreadable."""
     try:
         return load_bundle(sd.bundle_dir).c4.c_untrusted
     except C4Error:
@@ -299,7 +300,7 @@ def _record_anchor_exit_event(sd: StateDir) -> None:
 def _finalize_terminal(sd: StateDir):
     """Reduce journaled events and persist the terminal record, deciding
     under the state lock so no concurrent writer can interleave."""
-    c_untrusted = _c_untrusted(sd)
+    c_untrusted = bundle_c_untrusted(sd)
 
     def settle(cur):
         if cur.state in TERMINAL_STATES:

@@ -92,7 +92,7 @@ class StagePipelineState(str, Enum):
 
 @dataclass
 class WorkItem:
-    """An accepted request bound to a fresh stage identifier."""
+    """An accepted request bound to its stage identifier."""
 
     req: StageRequest
     eid: str
@@ -243,10 +243,15 @@ class ServeLoop:
             crash_if("accept:pre-commit")
             self.sd.save_session(session)
             crash_if("accept:post-commit")
-        eid = self.sd.allocate_eid()
+        return self._bind(req, claimed, claimed_at), None
+
+    def _bind(self, req: StageRequest, claimed: Path, claimed_at: float) -> WorkItem:
+        """Bind an accepted request to the stage its (epoch, seq) names; the
+        started marker is durable before any backend side effect."""
+        eid = self.sd.allocate_eid(req.epoch, req.seq)
         self.sd.write_started_marker(req.request_id, eid, req.stage)
         crash_if("execute:post-marker")
-        return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at), None
+        return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at)
 
     def _finalize_rejected(
         self,
@@ -422,7 +427,8 @@ class ServeLoop:
     def run(self, mode: str = "until-idle") -> ServeSummary:
         """Serve until the mode's exit condition; returns the summary.
 
-        Modes: "until-idle" (spool stayed empty for idle_polls scans),
+        Modes: "until-idle" (idle_polls iterations in a row began and ended
+        with no stage in flight and claimed nothing from the spool),
         "until-done" (anchor exited and everything drained), "forever"
         (until stop signal or the instance goes terminal).
         """
@@ -456,23 +462,25 @@ class ServeLoop:
                         stop_reason = "killed"
                         break
 
-                    dispatched = False
+                    # With every slot full the spool is not scanned, so an
+                    # iteration that starts with stages in flight is never idle.
+                    active = bool(futures)
                     while len(futures) < self.workers:
                         item, rejected = self._claim_and_accept_detail()
                         if rejected is not None:
                             summary.record(rejected)
-                            dispatched = True
+                            active = True
                             continue
                         if item is None:
                             break
                         futures.add(pool.submit(self.execute_accepted, item))
-                        dispatched = True
+                        active = True
 
                     if futures:
                         done, futures = wait(futures, timeout=self.poll_interval, return_when=FIRST_COMPLETED)
                         for fut in done:
                             summary.record(fut.result())
-                    if dispatched or futures:
+                    if active or futures:
                         idle_streak = 0
                         continue
 
@@ -502,7 +510,7 @@ class ServeLoop:
         - response exists               -> clean up claim bookkeeping
         - stage record exists           -> replay the response from it
         - started marker, no record     -> ambiguous execution: fail safely
-        - accepted (committed), no eid  -> resume the pipeline (runs once)
+        - accepted, no started marker   -> resume the pipeline (runs once)
         - never accepted                -> requeue for fresh validation
         """
         actions: list[dict] = []
@@ -578,18 +586,15 @@ class ServeLoop:
             return "failed_ambiguous"
 
         if request_id in session.seen_request_ids:
-            # Accepted and committed but never bound to a stage identifier;
-            # requeueing would self-reject as a replay, so resume instead.
+            # Accepted and committed but no started marker; requeueing would
+            # self-reject as a replay, so resume under the eid its (epoch,
+            # seq) names, reusing a directory an earlier bind left empty.
             try:
                 req = request_from_envelope(read_json(claimed, "request envelope"))
             except (ValueError, CorruptStateError):
                 remove_if_exists(claimed)
                 return "dropped_malformed"
-            eid = self.sd.allocate_eid()
-            self.sd.write_started_marker(request_id, eid, req.stage)
-            result = self.execute_accepted(
-                WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=time.time())
-            )
+            result = self.execute_accepted(self._bind(req, claimed, time.time()))
             return f"resumed_{result.terminal.value}"
 
         self.sd.requeue_claimed(claimed)

@@ -7,9 +7,9 @@ Layout under ``<root>/<cid>/``:
     requests/             pending request files <request_id>.req
     requests/claimed/     claimed request files (+ .started markers)
     responses/            response files <request_id>.resp
-    enclaves/<EID>/       per-stage meta.json + run.log
+    enclaves/<EID>/       per-stage meta.json + run.log; EID is
+                          eid-<epoch>-<seq> of the accepted request
     anchor.out            anchor stdout/stderr capture
-    eid.seq               stage-identifier allocation counter
     bundle/               materialized bundle (config.json + rootfs/)
     created.ok            create-completion marker
     events.json           termination-event journal (one JSON object per line)
@@ -29,8 +29,12 @@ protocol layer). What this module does guarantee:
   under the state lock that validates the state edge and bumps the version
   by one; the CAS form additionally requires the expected version, so
   stale writers cannot clobber newer records.
-- Identifier freshness: the stage counter is fsynced before any directory
-  is created, so crashes may leave gaps but never duplicates.
+- Identifier freshness: a stage is named after its accepted request's
+  (epoch, seq), which never repeats among accepted requests.
+  ``validate_request`` rejects seq below the watermark, ``commit_acceptance``
+  raises the watermark to seq + 1, and ``save_session`` makes that durable
+  before the name is bound. The bind only accepts the session's current
+  epoch, and ``advance_epoch`` only increments it.
 - Write-once artifacts: responses and stage records cannot be overwritten.
 
 A corrupt (present but unparseable) state.json raises, and is never treated
@@ -73,7 +77,6 @@ logger = logging.getLogger(__name__)
 
 MARKER_NAME = "created.ok"
 EID_PREFIX = "eid-"
-EID_PAD = 4
 
 
 @dataclass(frozen=True)
@@ -206,10 +209,6 @@ class StateDir:
         return self.path / "anchor.out"
 
     @property
-    def eid_seq_path(self) -> Path:
-        return self.path / "eid.seq"
-
-    @property
     def bundle_dir(self) -> Path:
         return self.path / "bundle"
 
@@ -253,9 +252,6 @@ class StateDir:
 
     def session_lock(self, **kw):
         return fsutil.locked(self._lock_path("session.json"), **kw)
-
-    def eid_lock(self, **kw):
-        return fsutil.locked(self._lock_path("eid.seq"), **kw)
 
     def events_lock(self, **kw):
         return fsutil.locked(self._lock_path("events.json"), **kw)
@@ -319,11 +315,10 @@ class StateDir:
         crash_if("create:post-dirs")
         self._materialize_bundle(bundle_source, reuse_bundle=reuse_bundle)
         crash_if("create:post-bundle")
-        fsutil.atomic_write_bytes(self.eid_seq_path, b"0\n")
         self.anchor_out_path.touch()
         self.events_path.touch()
         self.receipts_path.touch()
-        for name in ("state.json", "session.json", "eid.seq", "events.json", "serve"):
+        for name in ("state.json", "session.json", "events.json", "serve"):
             self._lock_path(name).touch()
         session = SessionState(cid=self.cid, epoch=0, sk=_derive_session_key(self.cid, session_seed))
         fsutil.atomic_write_json(self.session_path, session.to_json())
@@ -453,24 +448,17 @@ class StateDir:
 
     # -- stage identifiers --------------------------------------------------
 
-    def allocate_eid(self) -> str:
-        """Return a fresh stage identifier and create its empty directory.
+    def allocate_eid(self, epoch: int, seq: int) -> str:
+        """Name the stage of the accepted request (epoch, seq) and create its
+        directory.
 
-        The counter is persisted and fsynced before the directory appears,
-        so a crash can waste an identifier but never reuse one.
+        An existing directory is reused: a crash between this mkdir and the
+        started marker leaves it empty (meta.json and backend work files
+        only appear after the marker), and recovery binds the same name.
         """
-        with self.eid_lock():
-            raw = self.eid_seq_path.read_text().strip()
-            counter = int(raw) + 1
-            crash_if("eid:pre-write")
-            fsutil.atomic_write_bytes(self.eid_seq_path, f"{counter}\n".encode())
-            crash_if("eid:post-write")
-            eid = f"{EID_PREFIX}{counter:0{EID_PAD}d}"
-            self.enclave_dir(eid).mkdir(parents=True)
-            return eid
-
-    def eid_counter(self) -> int:
-        return int(self.eid_seq_path.read_text().strip())
+        eid = f"{EID_PREFIX}{epoch}-{seq}"
+        self.enclave_dir(eid).mkdir(exist_ok=True)
+        return eid
 
     # -- spool ------------------------------------------------------------
 

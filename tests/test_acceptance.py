@@ -287,7 +287,7 @@ def test_criterion_7_crash_safety(tmp_path):
     _report(
         7,
         report["all_ok"],
-        f"{report['points']} crash points across create/delete/claim/accept/eid/update/execute/finalize/response: "
+        f"{report['points']} crash points across create/delete/claim/accept/update/execute/finalize/response: "
         + ("all recovered with audits green" if report["all_ok"] else f"failures at {failing}"),
     )
 

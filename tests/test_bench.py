@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 from c4run import runtime
 from c4run.bench import audit_artifacts, audit_state_consistency
@@ -9,6 +11,7 @@ from c4run.bench.campaigns import (
     run_lifecycle_round,
 )
 from c4run.bundle import write_test_bundle
+from c4run.lifecycle import EventSource, TerminationEvent, TerminationReason
 from c4run.serve import ServeLoop
 from c4run.statedir import StateDir
 
@@ -35,7 +38,7 @@ def test_audits_pass_on_healthy_round(root, sim_bundle):
 
 def test_audit_flags_corrupted_meta_only(root, sim_bundle):
     sd = _healthy_round(root, sim_bundle, "a2")
-    sd.meta_path("eid-0001").write_bytes(b"not json")
+    sd.meta_path(sd.list_eids()[0]).write_bytes(b"not json")
     result = audit_artifacts(sd)
     assert not result.passed
     assert any("meta.json malformed" in v for v in result.violations)
@@ -62,6 +65,35 @@ def test_audit_flags_tampered_exit_code(root, sim_bundle):
     assert not result.passed
     assert any("matches no replayed prefix" in v for v in result.violations), result.violations
     runtime.cmd_delete(root, "a4")
+
+
+def test_state_audit_replays_under_the_bundles_untrusted_code(root, tmp_path):
+    bundle = write_test_bundle(tmp_path / "bundle-200", c_untrusted=200)
+    runtime.cmd_create(root, "a5", bundle)
+    sd = StateDir(root, "a5")
+    sd.append_event(
+        TerminationEvent(src=EventSource.POLICY, code=0, reason=TerminationReason.UNTRUSTED, origin="policy")
+    )
+    assert runtime.cmd_kill(root, "a5")["exit_code"] == 200
+    result = audit_state_consistency(sd)
+    assert result.passed, result.violations
+    runtime.cmd_delete(root, "a5")
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every name the benchmark's tracer patches exists, so a rename cannot
+    silently break a traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.PROGRAM_TARGETS + tracer.LOCK_TARGETS + tracer.GENERATOR_TARGETS
+    assert targets
+    for module, attr_path, _name in targets:
+        owner = importlib.import_module(module)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr_path)
 
 
 def test_lifecycle_campaign_small_all_green(tmp_path):

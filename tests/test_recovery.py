@@ -66,6 +66,20 @@ def test_crash_after_commit_resumes_without_revalidation(running_instance):
     assert _response_status(sd, req.request_id) is ResponseStatus.COMPLETED
 
 
+def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_instance):
+    sd = running_instance
+    req = _spool_one(sd)
+    _crash_at(sd, "accept:post-commit")
+    eid = f"eid-{req.epoch}-{req.seq}"
+    sd.enclave_dir(eid).mkdir()  # what a crash after the bind's mkdir leaves
+
+    actions = ServeLoop(sd).recover()
+    assert actions == [{"request_id": req.request_id, "action": "resumed_completed"}]
+    assert sd.list_eids() == [eid]
+    assert sd.find_stage_record(req.request_id).eid == eid
+    assert _executions(sd, req.request_id) == 1
+
+
 def test_crash_in_execution_window_fails_safely_never_reexecutes(running_instance):
     sd = running_instance
     req = _spool_one(sd)

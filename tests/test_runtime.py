@@ -53,9 +53,9 @@ def test_full_cycle_with_reference_anchor(root, sim_bundle):
         runtime.cmd_state(root, cid)
 
 
-def _record_stage(sd: StateDir, *, rc: int, finished_at: float, executed: bool = True) -> str:
+def _record_stage(sd: StateDir, *, seq: int, rc: int, finished_at: float, executed: bool = True) -> str:
     """Write one stage record straight into the state dir, as serve would."""
-    eid = sd.allocate_eid()
+    eid = sd.allocate_eid(1, seq)
     record = StageRecord(
         eid=eid,
         stage="hello",
@@ -70,7 +70,7 @@ def _record_stage(sd: StateDir, *, rc: int, finished_at: float, executed: bool =
         measurement_hash="ab" * 32 if executed else "",
         session_cid=sd.cid,
         session_epoch=1,
-        session_seq=0,
+        session_seq=seq,
     )
     sd.write_stage_record(eid, record, b"")
     return eid
@@ -85,26 +85,26 @@ def test_state_trust_and_health_unknown_before_an_executed_stage(root, sim_bundl
     runtime.cmd_create(root, "f1", sim_bundle)
     sd = StateDir(root, "f1")
     assert _flags(root, "f1") == ("unknown", "unknown", "idle")
-    _record_stage(sd, rc=127, finished_at=100.0, executed=False)  # stage not found
+    _record_stage(sd, seq=0, rc=127, finished_at=100.0, executed=False)  # stage not found
     assert _flags(root, "f1") == ("unknown", "unknown", "error")
-    _record_stage(sd, rc=0, finished_at=200.0)
+    _record_stage(sd, seq=1, rc=0, finished_at=200.0)
     assert _flags(root, "f1") == ("trusted", "healthy", "idle")
 
 
 def test_state_flags_follow_the_later_finished_record(root, sim_bundle):
     runtime.cmd_create(root, "f2", sim_bundle)
     sd = StateDir(root, "f2")
-    assert _record_stage(sd, rc=TIMEOUT_RC, finished_at=200.0) == "eid-0001"
-    assert _record_stage(sd, rc=0, finished_at=100.0) == "eid-0002"
-    # eid-0001 finished later: it decides, although eid-0002 sorts after it
+    assert _record_stage(sd, seq=0, rc=TIMEOUT_RC, finished_at=200.0) == "eid-1-0"
+    assert _record_stage(sd, seq=1, rc=0, finished_at=100.0) == "eid-1-1"
+    # eid-1-0 finished later: it decides, although eid-1-1 sorts after it
     assert _flags(root, "f2") == ("trusted", "degraded", "error")
 
 
 def test_state_phase_error_outranks_a_stage_in_flight(root, sim_bundle):
     runtime.cmd_create(root, "f3", sim_bundle)
     sd = StateDir(root, "f3")
-    _record_stage(sd, rc=7, finished_at=100.0)
-    sd.write_started_marker("r-in-flight", sd.allocate_eid(), "sleep")
+    _record_stage(sd, seq=0, rc=7, finished_at=100.0)
+    sd.write_started_marker("r-in-flight", sd.allocate_eid(1, 1), "sleep")
     assert sd.in_flight_count() == 1
     assert _flags(root, "f3")[2] == "error"
 

@@ -5,6 +5,7 @@ import pytest
 
 from c4run import runtime
 from c4run.backends import load_receipts
+from c4run.bench import audit_artifacts
 from c4run.fsutil import read_json
 from c4run.errors import IllegalStateError
 from c4run.lifecycle import LifecycleState as L
@@ -44,18 +45,19 @@ def test_single_request_full_pipeline(running_instance):
     loop = ServeLoop(sd, workers=1)
     result = loop.process_next()
     assert result.terminal is StagePipelineState.COMPLETED
-    assert result.eid == "eid-0001"
+    eid = f"eid-{req.epoch}-{req.seq}"
+    assert result.eid == eid
 
-    record = sd.read_stage_record("eid-0001")
+    record = sd.read_stage_record(eid)
     assert record.request_id == req.request_id and record.stage == "hello"
     assert record.rc == 0 and record.status == "completed"
     assert record.session_epoch == req.epoch and record.session_seq == req.seq
-    assert sd.run_log_path("eid-0001").read_bytes() == b"hello from eid-0001\n"
+    assert sd.run_log_path(eid).read_bytes() == f"hello from {eid}\n".encode()
 
     resp = _response(sd, req.request_id)
     session = sd.load_session()
     assert verify_response(resp, session, {req.request_id})
-    assert resp.status is ResponseStatus.COMPLETED and resp.eid == "eid-0001"
+    assert resp.status is ResponseStatus.COMPLETED and resp.eid == eid
 
     annotations = _annotations(sd)
     assert (annotations["trust_flag"], annotations["health_flag"]) == ("trusted", "healthy")
@@ -75,12 +77,12 @@ def test_replayed_request_rejected_without_new_eid(running_instance):
     loop = ServeLoop(sd, workers=1)
     assert loop.process_next().terminal is StagePipelineState.COMPLETED
     original = sd.response_path(req.request_id).read_bytes()
-    counter = sd.eid_counter()
+    eids = sd.list_eids()
 
     sd.spool_request(envelope, req.request_id)  # adversarial replay
     result = loop.process_next()
     assert result.reject_reason == "fresh_replayed_id"
-    assert sd.eid_counter() == counter  # no stage identifier allocated
+    assert sd.list_eids() == eids  # no stage identifier allocated
     assert sd.response_path(req.request_id).read_bytes() == original
     receipts = load_receipts(sd.receipts_path)
     assert len([r for r in receipts if r["request_id"] == req.request_id]) == 1
@@ -158,6 +160,40 @@ def test_hundred_requests_four_serve_instances_disjoint(running_instance):
     session = sd.load_session()
     accepted_seqs = sorted(int(rid.split("-")[1]) for rid in session.seen_request_ids)
     assert accepted_seqs == list(range(100))  # strictly increasing acceptance
+
+
+def test_two_serve_loops_name_every_stage_after_its_request(running_instance):
+    sd = running_instance
+    reqs = _spool(sd, n=32)
+
+    def serve():
+        ServeLoop(StateDir(sd.path.parent, sd.cid), workers=2).run(mode="until-idle")
+
+    threads = [threading.Thread(target=serve) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+
+    records = sd.stage_records()
+    assert len(records) == 32
+    assert len({r.eid for r in records}) == 32
+    by_rid = {r.request_id: r.eid for r in records}
+    assert by_rid == {r.request_id: f"eid-{r.epoch}-{r.seq}" for r in reqs}
+    ipr = audit_artifacts(sd)
+    assert ipr.passed, ipr.violations
+
+
+def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):
+    # One slot, stages outlasting the poll: every iteration starts full, so
+    # none of them scans the spool and none may count as idle.
+    sd = running_instance
+    _spool(sd, stage="sleep", n=3)  # 50 ms each in the sim table
+    summary = ServeLoop(sd, workers=1, idle_polls=1, poll_interval=0.01).run(mode="until-idle")
+    assert summary.stop_reason == "idle"
+    assert summary.completed == 3
+    assert sd.pending_requests() == []
 
 
 def test_fail_stage_drives_instance_failed_under_fail_fast(running_instance):

@@ -37,7 +37,6 @@ def test_init_materializes_full_layout(root, sim_bundle):
         sd.responses_dir,
         sd.enclaves_dir,
         sd.anchor_out_path,
-        sd.eid_seq_path,
         sd.bundle_dir,
         sd.rootfs_dir,
         sd.marker_path,
@@ -45,14 +44,15 @@ def test_init_materializes_full_layout(root, sim_bundle):
         assert p.exists(), p
     rec = sd.read_record()
     assert rec.state is L.PREPARED and rec.ver == 1
-    assert sd.eid_counter() == 0
+    assert sd.list_eids() == []
+    assert not (sd.path / "eid.seq").exists()
     session = sd.load_session()
     assert session.epoch == 0 and session.next_seq == 0
 
 
 def test_init_idempotent_no_rewrites(root, sim_bundle):
     sd = _init(root, sim_bundle)
-    before = {p: p.stat().st_mtime_ns for p in (sd.state_path, sd.session_path, sd.eid_seq_path)}
+    before = {p: p.stat().st_mtime_ns for p in (sd.state_path, sd.session_path)}
     sd.init(sim_bundle, "seed")
     after = {p: p.stat().st_mtime_ns for p in before}
     assert before == after
@@ -148,43 +148,6 @@ def test_version_monotone_under_concurrent_rmw(root, sim_bundle):
     assert sd.read_record().ver == 1 + writers * per_writer
 
 
-def test_allocate_eid_sequence_and_concurrency(root, sim_bundle):
-    sd = _init(root, sim_bundle)
-    assert sd.allocate_eid() == "eid-0001"
-    results = []
-    lock = threading.Lock()
-
-    def alloc():
-        own = StateDir(root, "c1")
-        for _ in range(4):
-            eid = own.allocate_eid()
-            with lock:
-                results.append(eid)
-
-    threads = [threading.Thread(target=alloc) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(results) == 32 and len(set(results)) == 32
-    assert sd.eid_counter() == 33
-    for eid in results:
-        assert sd.enclave_dir(eid).is_dir()
-
-
-def test_allocate_eid_crash_leaves_gap_never_duplicate(root, sim_bundle):
-    sd = _init(root, sim_bundle)
-    first = sd.allocate_eid()
-    with pytest.raises(InjectedCrash):
-        with armed("eid:post-write"):
-            sd.allocate_eid()
-    # counter advanced durably, directory never appeared: a permitted gap
-    assert sd.eid_counter() == 2
-    assert not sd.enclave_dir("eid-0002").exists()
-    third = sd.allocate_eid()
-    assert third == "eid-0003" and third != first
-
-
 def test_spool_response_write_once(root, sim_bundle):
     sd = _init(root, sim_bundle)
     sd.spool_response("r1", {"schema_version": 1, "request_id": "r1"})
@@ -215,7 +178,8 @@ def _stage_record(sd, eid, rid="r1", rc=0):
 
 def test_write_stage_record_once_and_reads_back(root, sim_bundle):
     sd = _init(root, sim_bundle)
-    eid = sd.allocate_eid()
+    eid = sd.allocate_eid(1, 0)
+    assert eid == "eid-1-0"
     sd.write_stage_record(eid, _stage_record(sd, eid), b"log bytes")
     assert sd.run_log_path(eid).read_bytes() == b"log bytes"
     assert sd.read_stage_record(eid).request_id == "r1"
