@@ -2,11 +2,12 @@
 
 These implement the invariant checks the correctness metrics are built on:
 per accepted request the audit verifies a fresh stage directory, a
-well-formed record, the run log, and exactly one response whose fields
-match the record; the instance record is checked against the projection
-and the replayed termination journal. Validation is over artifacts only —
-the audit never inspects runtime internals except the execution-receipt
-journal exposed for exactly-once verification.
+well-formed record named after its request's (epoch, seq), the run log, and
+exactly one response whose fields match the record; the instance record is
+checked against the projection and the replayed termination journal.
+Validation is over artifacts only — the audit never inspects runtime
+internals except the execution-receipt journal exposed for exactly-once
+verification.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..lifecycle import (
 )
 from ..protocol import ResponseStatus, response_from_envelope
 from ..runtime import bundle_c_untrusted
-from ..statedir import StateDir
+from ..statedir import EID_PREFIX, StateDir
 
 #: rc values a stage record may carry without an execution receipt
 #: (prepare failures and crash-recovery ambiguity produce no execution).
@@ -69,6 +70,8 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
             continue
         if rec.eid != eid:
             result.flag(f"{eid}: meta.json names {rec.eid}")
+        if rec.eid != f"{EID_PREFIX}{rec.session_epoch}-{rec.session_seq}":
+            result.flag(f"{eid}: recorded (epoch, seq) ({rec.session_epoch}, {rec.session_seq}) does not name it")
         if rec.session_cid != sd.cid:
             result.flag(f"{eid}: bound to foreign instance {rec.session_cid}")
         if rec.request_id in records:

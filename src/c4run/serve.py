@@ -18,6 +18,8 @@ instances on one instance directory:
   Recovery uses the ladder (response? meta? marker? committed?) to requeue,
   resume, replay the response, or fail a claim as ambiguous — never running
   the backend twice for one accepted request.
+- An idle loop waits on the wake FIFO that spool_request rings, for at most
+  poll_interval: a missing or lost ring only falls back to polling.
 
 Fail-fast policy: a stage that reports a nonzero rc emits a TEE-error
 termination event and drives the instance record to Failed. That is the
@@ -31,6 +33,8 @@ fail-fast off, stage failures are recorded in the stage artifacts only.
 from __future__ import annotations
 
 import logging
+import os
+import select
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -148,6 +152,17 @@ class ServeSummary:
             "elapsed_s": round(self.elapsed_s, 6),
             "stages": self.stages,
         }
+
+
+def _drain_wake(fds: list[int]) -> None:
+    """Consume every pending ring; the FIFO is non-blocking, so this stops
+    as soon as it is empty."""
+    for fd in fds:
+        try:
+            while os.read(fd, 512):
+                pass
+        except BlockingIOError:
+            pass
 
 
 def claim_next(sd: StateDir) -> Optional[Path]:
@@ -447,7 +462,7 @@ class ServeLoop:
             raise IllegalStateError(f"{self.sd.cid}: serve requires a running instance")
 
         idle_streak = 0
-        with self.sd.serve_lock(exclusive=False):
+        with self.sd.serve_lock(exclusive=False), self.sd.wake_fds() as bell:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 futures: set[Future] = set()
                 stop_reason = ""
@@ -465,6 +480,9 @@ class ServeLoop:
                     # With every slot full the spool is not scanned, so an
                     # iteration that starts with stages in flight is never idle.
                     active = bool(futures)
+                    # Drained before the scan, not after the wait: a ring for
+                    # a file this scan claims must not end a later wait early.
+                    _drain_wake(bell)
                     while len(futures) < self.workers:
                         item, rejected = self._claim_and_accept_detail()
                         if rejected is not None:
@@ -491,7 +509,7 @@ class ServeLoop:
                     if mode == "until-done" and self.sd.read_anchor_exit() is not None:
                         stop_reason = "done"
                         break
-                    time.sleep(self.poll_interval)
+                    select.select(bell, [], [], self.poll_interval)
 
                 for fut in futures:
                     summary.record(fut.result())
@@ -556,6 +574,18 @@ class ServeLoop:
                 self._fail_fast(record.eid, record.rc)
             return "response_replayed"
 
+        if marker is None and request_id not in session.seen_request_ids:
+            self.sd.requeue_claimed(claimed)
+            return "requeued"
+
+        # Accepted: the claimed envelope carries the (epoch, seq) that named
+        # the stage.
+        try:
+            req = request_from_envelope(read_json(claimed, "request envelope"))
+        except (ValueError, CorruptStateError):
+            remove_if_exists(claimed)
+            return "dropped_malformed"
+
         if marker is not None:
             # Execution may or may not have started; never run it again.
             now = time.time()
@@ -572,8 +602,8 @@ class ServeLoop:
                 evidence_type="none",
                 measurement_hash="",
                 session_cid=self.sd.cid,
-                session_epoch=session.epoch,
-                session_seq=0,
+                session_epoch=req.epoch,
+                session_seq=req.seq,
                 failure_reason="recovery_ambiguous",
                 timings={"claimed_at": marker.get("ts", now), "finished_at": now},
             )
@@ -585,17 +615,8 @@ class ServeLoop:
                 self._fail_fast(marker["eid"], RECOVERY_AMBIGUOUS_RC)
             return "failed_ambiguous"
 
-        if request_id in session.seen_request_ids:
-            # Accepted and committed but no started marker; requeueing would
-            # self-reject as a replay, so resume under the eid its (epoch,
-            # seq) names, reusing a directory an earlier bind left empty.
-            try:
-                req = request_from_envelope(read_json(claimed, "request envelope"))
-            except (ValueError, CorruptStateError):
-                remove_if_exists(claimed)
-                return "dropped_malformed"
-            result = self.execute_accepted(self._bind(req, claimed, time.time()))
-            return f"resumed_{result.terminal.value}"
-
-        self.sd.requeue_claimed(claimed)
-        return "requeued"
+        # Committed but no started marker; requeueing would self-reject as a
+        # replay, so resume under the eid its (epoch, seq) names, reusing a
+        # directory an earlier bind left empty.
+        result = self.execute_accepted(self._bind(req, claimed, time.time()))
+        return f"resumed_{result.terminal.value}"

@@ -14,6 +14,8 @@ Layout under ``<root>/<cid>/``:
     created.ok            create-completion marker
     events.json           termination-event journal (one JSON object per line)
     anchor.pid / anchor_exit.json   written by the anchor supervisor
+    wake                  FIFO doorbell: spool_request rings it, serve waits
+                          on it (made by serve, not by create)
     *.lock                advisory lock files, one per mutable object
 
 Everything here is *coordination* state: nothing in this module derives a
@@ -36,6 +38,8 @@ protocol layer). What this module does guarantee:
   before the name is bound. The bind only accepts the session's current
   epoch, and ``advance_epoch`` only increments it.
 - Write-once artifacts: responses and stage records cannot be overwritten.
+- The wake FIFO carries no state: the spool files are the only truth, so a
+  lost or missing ring delays serve by one poll interval and nothing else.
 
 A corrupt (present but unparseable) state.json raises, and is never treated
 as absent: conflating the two would let anyone reset the lifecycle by
@@ -48,10 +52,12 @@ import json
 import logging
 import os
 import shutil
+import stat
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import fsutil
 from .crashpoints import crash_if
@@ -243,6 +249,10 @@ class StateDir:
     @property
     def receipts_path(self) -> Path:
         return self.path / "exec.receipts"
+
+    @property
+    def wake_path(self) -> Path:
+        return self.path / "wake"
 
     def _lock_path(self, name: str) -> Path:
         return self.path / f"{name}.lock"
@@ -463,9 +473,53 @@ class StateDir:
     # -- spool ------------------------------------------------------------
 
     def spool_request(self, envelope: dict, request_id: str) -> Path:
+        """Write the request durably, then ring the wake FIFO.
+
+        The ring is best effort: the request file is already in place, so a
+        lost ring costs serve one poll interval and never the request. It is
+        skipped when no FIFO exists (no serve has run yet), when no serve
+        has it open (ENXIO), when a wake is already pending (EAGAIN) and when
+        ``wake`` is not a FIFO at all.
+        """
         path = self.request_path(request_id)
         fsutil.atomic_write_json(path, envelope)
+        try:
+            fd = _open_fifo(self.wake_path, os.O_WRONLY)
+            if fd is not None:
+                try:
+                    os.write(fd, b"\0")
+                finally:
+                    os.close(fd)
+        except OSError:
+            pass  # ENOENT, ENXIO, EAGAIN, or EPIPE when the reader just left
         return path
+
+    @contextmanager
+    def wake_fds(self) -> Iterator[list[int]]:
+        """Serve's end of the wake FIFO: the descriptors to wait on.
+
+        Makes the FIFO if absent, so instances created before it existed are
+        woken too. The FIFO is opened read-write: a read-only end reaches
+        end-of-file once the last spooler closes, and then stays readable
+        forever; holding a write end too prevents that (fifo(7)). Yields an
+        empty list when ``wake`` is not a usable FIFO (the directory is host
+        state), and serve then only polls.
+        """
+        fd = None
+        try:
+            with suppress(FileExistsError):
+                os.mkfifo(self.wake_path, 0o600)
+            fd = _open_fifo(self.wake_path, os.O_RDWR)
+        except OSError as exc:
+            logger.warning("%s: wake FIFO unusable (%s); serve polls only", self.cid, exc)
+        else:
+            if fd is None:
+                logger.warning("%s: wake is not a FIFO; serve polls only", self.cid)
+        try:
+            yield [] if fd is None else [fd]
+        finally:
+            if fd is not None:
+                os.close(fd)
 
     def pending_requests(self) -> list[Path]:
         """Pending request files, lowest (epoch, seq) first.
@@ -632,6 +686,16 @@ class StateDir:
             return int(fsutil.read_json(self.anchor_pid_path, "anchor.pid")["pid"])
         except (FileNotFoundError, KeyError, ValueError, CorruptStateError):
             return None
+
+
+def _open_fifo(path: Path, flags: int) -> Optional[int]:
+    """Open path non-blocking without following a symlink; None, having
+    neither read nor written anything, when it is not a FIFO."""
+    fd = os.open(path, flags | os.O_NONBLOCK | os.O_NOFOLLOW)
+    if stat.S_ISFIFO(os.fstat(fd).st_mode):
+        return fd
+    os.close(fd)
+    return None
 
 
 def _derive_session_key(cid: str, seed: Optional[str]) -> bytes:

@@ -55,6 +55,18 @@ def test_audit_flags_deleted_response(root, sim_bundle):
     runtime.cmd_delete(root, "a3")
 
 
+def test_audit_flags_record_whose_seq_does_not_name_it(root, sim_bundle):
+    sd = _healthy_round(root, sim_bundle, "a6")
+    eid = sd.list_eids()[0]
+    raw = json.loads(sd.meta_path(eid).read_text())
+    raw["session_seq"] += 1
+    sd.meta_path(eid).write_text(json.dumps(raw))
+    result = audit_artifacts(sd)
+    assert not result.passed
+    assert any(v.startswith(f"{eid}: recorded (epoch, seq)") for v in result.violations), result.violations
+    runtime.cmd_delete(root, "a6")
+
+
 def test_audit_flags_tampered_exit_code(root, sim_bundle):
     sd = _healthy_round(root, sim_bundle, "a4")
     raw = json.loads(sd.state_path.read_text())

@@ -95,6 +95,24 @@ def test_crash_in_execution_window_fails_safely_never_reexecutes(running_instanc
     assert _response_status(sd, req.request_id) is ResponseStatus.FAILED
 
 
+def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
+    from c4run.bench import audit_artifacts
+
+    sd = running_instance
+    for _ in range(2):
+        _spool_one(sd)
+        ServeLoop(sd, workers=1).process_next()
+    req = _spool_one(sd)
+    _crash_at(sd, "execute:pre-backend")
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
+    record = sd.find_stage_record(req.request_id)
+    assert record.eid == f"eid-{req.epoch}-{req.seq}" and req.seq == 2
+    assert (record.session_epoch, record.session_seq) == (req.epoch, req.seq)
+    ipr = audit_artifacts(sd)
+    assert ipr.passed, ipr.violations
+
+
 def test_crash_after_meta_replays_response_byte_identically(running_instance):
     sd = running_instance
     req = _spool_one(sd)

@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 
@@ -194,6 +195,54 @@ def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):
     assert summary.stop_reason == "idle"
     assert summary.completed == 3
     assert sd.pending_requests() == []
+
+
+def test_idle_serve_wakes_when_a_request_is_spooled(running_instance):
+    sd = running_instance
+    loop = ServeLoop(sd, workers=1, idle_polls=2, poll_interval=2.0)
+    out = {}
+    t = threading.Thread(target=lambda: out.setdefault("summary", loop.run(mode="until-idle")))
+    t.start()
+    time.sleep(0.3)  # serve has scanned the empty spool and is waiting
+    spooled_at = time.time()
+    (req,) = _spool(sd)
+    t.join(timeout=15)
+    assert not t.is_alive()
+    assert out["summary"].completed == 1
+    claimed_at = sd.find_stage_record(req.request_id).timings["claimed_at"]
+    assert claimed_at - spooled_at < 0.5  # not the rest of a 2 s poll
+
+
+def test_stale_ring_does_not_shorten_until_idle(running_instance):
+    sd = running_instance
+    os.mkfifo(sd.wake_path)
+    fd = os.open(sd.wake_path, os.O_RDWR | os.O_NONBLOCK)  # keeps the byte in the pipe
+    try:
+        os.write(fd, b"\0")
+        summary = ServeLoop(sd, workers=1, idle_polls=2, poll_interval=0.3).run(mode="until-idle")
+    finally:
+        os.close(fd)
+    assert summary.stop_reason == "idle"
+    assert summary.elapsed_s >= 0.3  # one full interval between the two idle scans
+
+
+def test_wake_that_is_not_a_fifo_leaves_serve_polling(running_instance):
+    sd = running_instance
+    sd.wake_path.write_bytes(b"")  # readable at once, forever, if serve waited on it
+    _spool(sd)
+    scans = []
+    real = sd.pending_requests
+
+    def counted():
+        scans.append(1)
+        return real()
+
+    sd.pending_requests = counted
+    summary = ServeLoop(sd, workers=1, idle_polls=4, poll_interval=0.1).run(mode="until-idle")
+    assert summary.completed == 1 and summary.stop_reason == "idle"
+    assert summary.elapsed_s >= 0.3  # three full intervals between four idle scans
+    assert len(scans) <= 6  # claim + empty scan, then one scan per idle iteration
+    assert sd.wake_path.stat().st_size == 0
 
 
 def test_fail_stage_drives_instance_failed_under_fail_fast(running_instance):

@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 
@@ -265,3 +266,38 @@ def test_pending_requests_sorted_by_epoch_seq(root, sim_bundle):
         sd.spool_request({"schema_version": 1}, rid)
     names = [p.stem for p in sd.pending_requests()]
     assert names == ["1-0-cc", "1-2-bb", "1-10-aa", "2-1-dd"]
+
+
+def _fifo_without_reader(sd):
+    os.mkfifo(sd.wake_path)
+
+
+def _full_fifo(sd):
+    os.mkfifo(sd.wake_path)
+    fd = os.open(sd.wake_path, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        while True:
+            os.write(fd, b"\0")
+    except BlockingIOError:
+        return fd
+
+
+def _regular_file(sd):
+    sd.wake_path.write_bytes(b"")
+
+
+@pytest.mark.parametrize("setup", [None, _fifo_without_reader, _full_fifo, _regular_file])
+def test_spool_request_returns_at_once_whatever_the_wake_is(root, sim_bundle, setup):
+    sd = _init(root, sim_bundle)
+    held = setup(sd) if setup else None
+    try:
+        t = threading.Thread(target=sd.spool_request, args=({"schema_version": 1}, "1-0-aa"), daemon=True)
+        t.start()
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert [p.stem for p in sd.pending_requests()] == ["1-0-aa"]
+        if setup is _regular_file:
+            assert sd.wake_path.stat().st_size == 0  # never written to
+    finally:
+        if held is not None:
+            os.close(held)
