@@ -615,11 +615,15 @@ def _crash_update(root: Path, cid: str, bundle: Path, point: str, expected: str)
     before = sd.read_record()
     crashed = _crashes(point, runtime.cmd_kill, root, cid)
     unchanged = sd.read_record() == before
+    # start finishes the interrupted kill and refuses; a repeated kill is a no-op.
+    start_code, _ = _invoke(runtime.cmd_start, root, cid)
+    after_start = sd.read_record()
+    refused = start_code == 3 and (after_start.state.value, after_start.exit_code) == ("stopped", 0)
     code, _ = _invoke(runtime.cmd_kill, root, cid)
     after = sd.read_record()
     settled = code == 0 and (after.state.value, after.exit_code) == ("stopped", 0)
-    runtime.cmd_delete(root, cid)
-    return {"phase": "update", "ok": crashed and unchanged and settled}
+    runtime.cmd_delete(root, cid, force=True)
+    return {"phase": "update", "ok": crashed and unchanged and refused and settled}
 
 
 def _crash_pipeline(root: Path, cid: str, bundle: Path, point: str, expected: str) -> dict:

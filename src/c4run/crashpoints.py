@@ -23,8 +23,9 @@ from contextlib import contextmanager
 #: "absent"           a crashed create reads as absent; a retry rebuilds it
 #: "deleted"          a crashed delete reads as absent; a repeat removes the tree
 #: "unchanged"        a crashed record update (a kill on a Prepared instance)
-#:                    leaves the record and its version as they were; a
-#:                    repeated kill settles Stopped with exit code 0
+#:                    leaves the record and its version as they were; start
+#:                    then settles it Stopped with exit code 0 and refuses,
+#:                    and a repeated kill reads the same
 #: "completed"        the request completes with exactly one execution
 #: "failed_ambiguous" the request fails safely and is never re-executed
 CRASH_POINTS: dict[str, str] = {

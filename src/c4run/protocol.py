@@ -53,6 +53,7 @@ class ResponseStatus(str, Enum):
 class RejectReason(str, Enum):
     BIND_CID_MISMATCH = "bind_cid_mismatch"
     BIND_EPOCH_MISMATCH = "bind_epoch_mismatch"
+    BIND_REQUEST_ID_MISMATCH = "bind_request_id_mismatch"
     BIND_BAD_RESPONSE_PATH = "bind_bad_response_path"
     AUTH_MAC_INVALID = "auth_mac_invalid"
     FRESH_REPLAYED_ID = "fresh_replayed_id"
@@ -322,6 +323,8 @@ def validate_request(
         return RejectReason.BIND_CID_MISMATCH
     if req.epoch != session.epoch:
         return RejectReason.BIND_EPOCH_MISMATCH
+    if not req.request_id.startswith(f"{req.epoch}-{req.seq}-"):
+        return RejectReason.BIND_REQUEST_ID_MISMATCH
     if not _response_path_ok(req.response_path):
         return RejectReason.BIND_BAD_RESPONSE_PATH
     if len(req.mac) != MAC_LEN or not hmac.compare_digest(req.mac, request_mac(session.sk, req)):

@@ -6,6 +6,10 @@ locks, atomic writes), and every entrypoint is idempotent with respect to
 the persisted record. The CLI wraps these functions and maps raised errors
 to exit codes.
 
+Start flow: start forks the anchor supervisor (supervise.launch) and
+returns once the supervisor reports over a pipe that anchor.pid is durable;
+a failed launch raises and leaves the instance Prepared.
+
 Termination flow: the anchor supervisor records the anchor's exit
 observation; stage failures journal TEE-error events as they happen; kill
 journals a killed event. wait (or kill) reduces the journal to a single
@@ -20,8 +24,6 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import subprocess
-import sys
 import time
 from pathlib import Path
 from typing import Optional
@@ -54,10 +56,10 @@ from .lifecycle import (
     reduce_termination,
 )
 from .statedir import StateDir
+from .supervise import READY, launch
 
 logger = logging.getLogger(__name__)
 
-START_OBSERVE_TIMEOUT_S = 10.0
 DEFAULT_KILL_GRACE_S = 5.0
 WAIT_POLL_S = 0.05
 
@@ -160,8 +162,11 @@ def cmd_start(root: Path, cid: str) -> dict:
         raise IllegalStateError(
             f"{cid}: recorded state is running but the anchor is gone; run wait to settle it"
         )
+    if sd.kill_marker_path.exists():  # a kill died before its record update
+        cmd_kill(root, cid)
+        raise IllegalStateError(f"{cid}: cannot start a killed instance")
 
-    # Prepared: fresh epoch for the new anchor, then spawn the supervisor.
+    # Prepared: fresh epoch for the new anchor, then fork the supervisor.
     with sd.session_lock():
         session = sd.load_session()
         session.advance_epoch()
@@ -172,35 +177,11 @@ def cmd_start(root: Path, cid: str) -> dict:
         except FileNotFoundError:
             pass
 
-    subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "c4run.supervise",
-            "--statedir-root",
-            str(Path(root)),
-            "--cid",
-            cid,
-        ],
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
-
-    deadline = time.monotonic() + START_OBSERVE_TIMEOUT_S
-    pid: Optional[int] = None
-    while time.monotonic() < deadline:
-        pid = sd.read_anchor_pid()
-        if pid is not None:
-            break
-        exit_obs = sd.read_anchor_exit()
-        if exit_obs is not None and exit_obs.get("spawn_error"):
-            os.unlink(sd.anchor_exit_path)
-            raise InternalError(f"{cid}: anchor failed to launch: {exit_obs['spawn_error']}")
-        time.sleep(0.01)
-    if pid is None:
-        raise InternalError(f"{cid}: anchor did not become observable")
+    report = launch(sd)
+    if report != READY:
+        reason = report.decode(errors="replace") or "the supervisor exited without a report"
+        raise InternalError(f"{cid}: anchor failed to launch: {reason}")
+    pid = sd.read_anchor_pid()
 
     new = sd.update_record(
         lambda cur: cur.with_state(LifecycleState.RUNNING, anchor_pid=pid), rec.ver

@@ -13,7 +13,12 @@ Layout under ``<root>/<cid>/``:
     bundle/               materialized bundle (config.json + rootfs/)
     created.ok            create-completion marker
     events.json           termination-event journal (one JSON object per line)
-    anchor.pid / anchor_exit.json   written by the anchor supervisor
+    exec.receipts         backend execution receipts, appended before each run
+    kill.requested        kill marker: stages cancel, serve stops, start refuses
+    anchor.pid            written by the anchor supervisor once the anchor
+                          runs; start returns only after it is durable
+    anchor_exit.json      the anchor's exit, written by the supervisor that
+                          reaped it (never for an anchor that failed to spawn)
     wake                  FIFO doorbell: spool_request rings it, serve waits
                           on it (made by serve, not by create)
     *.lock                advisory lock files, one per mutable object

@@ -178,6 +178,28 @@ def test_epoch_isolation():
     assert validate_request(req, session, "c4-golden") is RejectReason.BIND_EPOCH_MISMATCH
 
 
+def test_request_id_is_bound_to_its_epoch_and_seq():
+    # The watermark is rebuilt from the accepted ids on every reload: a
+    # seq-5 request accepted under id 1-0-... would pull it back to 1 and let
+    # a second seq-5 request through, both naming stage eid-1-5.
+    session = fresh_session()
+    session.next_seq = 5
+    honest = build_request(session, "hello", b"p")
+    forged = dataclasses.replace(honest, request_id="1-0-aaaa", response_path="responses/1-0-aaaa.resp", mac=b"")
+    forged = dataclasses.replace(forged, mac=request_mac(session.sk, forged))
+    assert validate_request(forged, session, "c4-golden") is RejectReason.BIND_REQUEST_ID_MISMATCH
+    reloaded = SessionState.from_json(session.to_json())
+    assert validate_request(honest, reloaded, "c4-golden") is None
+    commit_acceptance(reloaded, honest)
+    again = SessionState.from_json(reloaded.to_json())
+    assert again.next_expected_accept_seq == 6
+    second = dataclasses.replace(
+        honest, request_id="1-5-bbbb", response_path="responses/1-5-bbbb.resp", nonce=bytes(16), mac=b""
+    )
+    second = dataclasses.replace(second, mac=request_mac(again.sk, second))
+    assert validate_request(second, again, "c4-golden") is RejectReason.ORDER_STALE_SEQ
+
+
 @pytest.mark.parametrize(
     "path",
     ["../../etc/x", "/etc/x", "responses/../session.json", "responses", "responses/a/b", "", "requests/x"],

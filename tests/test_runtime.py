@@ -1,16 +1,21 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from c4run import runtime
 from c4run.backends.base import TIMEOUT_RC
 from c4run.bundle import write_sleep_anchor_bundle, write_test_bundle
+from c4run.crashpoints import InjectedCrash, armed
 from c4run.errors import (
     AbsentRecordError,
     IllegalStateError,
+    InternalError,
     UsageError,
     WaitTimeout,
 )
@@ -18,6 +23,12 @@ from c4run.lifecycle import LifecycleState as L
 from c4run.serve import ServeLoop
 from c4run.statedir import StageRecord, StateDir
 from oracles import oracle_reduce
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _ppid(pid: int) -> int:
+    return int(Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[1])
 
 
 def test_full_cycle_with_reference_anchor(root, sim_bundle):
@@ -175,6 +186,73 @@ def test_kill_on_prepared_stops_without_anchor(root, sim_bundle):
     killed = runtime.cmd_kill(root, cid)
     assert killed["state"] == "stopped" and killed["exit_code"] == 0
     runtime.cmd_delete(root, cid)
+
+
+def test_start_finishes_a_kill_that_died_before_its_record_update(root, sleep_anchor_bundle):
+    cid = "k-crash"
+    runtime.cmd_create(root, cid, sleep_anchor_bundle)
+    sd = StateDir(root, cid)
+    try:
+        with pytest.raises(InjectedCrash), armed("update:pre-write"):
+            runtime.cmd_kill(root, cid)
+        assert sd.read_record().state is L.PREPARED and sd.kill_marker_path.exists()
+        with pytest.raises(IllegalStateError) as refused:
+            runtime.cmd_start(root, cid)
+        assert refused.value.exit_code == 3  # kill-then-start, as EntrypointModel predicts
+        rec = sd.read_record()
+        assert (rec.state, rec.exit_code) == (L.STOPPED, 0)
+        assert sd.read_anchor_pid() is None  # no anchor was launched
+    finally:
+        runtime.cmd_delete(root, cid, force=True)
+
+
+def test_start_that_cannot_launch_the_anchor_leaves_the_instance_prepared(root, tmp_path):
+    bundle = write_sleep_anchor_bundle(tmp_path / "b-noexec")
+    (bundle / "rootfs" / "bin" / "sleep-anchor.sh").chmod(0o644)
+    cid = "noexec"
+    runtime.cmd_create(root, cid, bundle)
+    with pytest.raises(InternalError, match="anchor failed to launch") as failed:
+        runtime.cmd_start(root, cid)
+    assert failed.value.exit_code == 5
+    sd = StateDir(root, cid)
+    assert sd.read_record().state is L.PREPARED
+    assert not sd.anchor_pid_path.exists() and not sd.anchor_exit_path.exists()
+    killed = runtime.cmd_kill(root, cid)
+    assert (killed["state"], killed["exit_code"]) == ("stopped", 0)
+    runtime.cmd_delete(root, cid)
+
+
+def test_cli_start_returns_while_the_anchor_runs(root, sleep_anchor_bundle):
+    cid = "detached"
+    runtime.cmd_create(root, cid, sleep_anchor_bundle)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "c4run.cli", "--statedir-root", str(root), "start", cid],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        # The anchor sleeps for minutes: a supervisor holding start's stdout
+        # or stderr would keep these pipes open until it exits.
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        started = json.loads(out)
+        assert started["state"] == "running"
+        os.kill(started["pid"], 0)
+    finally:
+        proc.kill()
+        proc.wait()
+        runtime.cmd_delete(root, cid, force=True)
+
+
+def test_supervisor_is_detached_from_an_in_process_start(running_instance):
+    supervisor = _ppid(running_instance.read_anchor_pid())
+    assert supervisor != os.getpid()
+    assert _ppid(supervisor) != os.getpid()  # not even a zombie-to-be of ours
+    fds = Path(f"/proc/{supervisor}/fd")
+    assert {n: os.readlink(fds / n) for n in os.listdir(fds)} == {n: os.devnull for n in ("0", "1", "2")}
 
 
 def test_kill_with_stage_executing_cancels_cleanly(root, tmp_path):
