@@ -1,9 +1,11 @@
 """Mechanical artifact and state audits.
 
 These implement the invariant checks the correctness metrics are built on:
-per accepted request the audit verifies a fresh stage directory, a
-well-formed record named after its request's (epoch, seq), the run log, and
-exactly one response whose fields match the record; the instance record is
+every acceptance journal line must parse and name a request id, nonce and
+(epoch, seq) not journalled before in its epoch; per accepted request the
+audit verifies a fresh stage directory, a well-formed record named after its
+request's (epoch, seq), the run log, and exactly one response whose fields
+match the record; the instance record is
 checked against the projection and the replayed termination journal.
 Validation is over artifacts only — the audit never inspects runtime
 internals except the execution-receipt journal exposed for exactly-once
@@ -25,9 +27,9 @@ from ..lifecycle import (
     project_oci,
     reduce_termination,
 )
-from ..protocol import ResponseStatus, response_from_envelope
+from ..protocol import ResponseStatus, SessionState, response_from_envelope
 from ..runtime import bundle_c_untrusted
-from ..statedir import EID_PREFIX, StateDir
+from ..statedir import EID_PREFIX, Acceptance, StateDir
 
 #: rc values a stage record may carry without an execution receipt
 #: (prepare failures and crash-recovery ambiguity produce no execution).
@@ -54,10 +56,11 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
     """Per-stage artifact completeness and consistency (the IPR checks)."""
     result = AuditResult()
     try:
-        session = sd.load_session()
+        session = sd.load_session_params()
     except Exception as exc:
         result.flag(f"session unreadable: {exc}")
         return result
+    accepted = _audit_journal(sd, session, result)
 
     records = {}
     for eid in sd.list_eids():
@@ -82,7 +85,7 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
     if len(set(eids)) != len(eids):
         result.flag("stage identifiers are not unique across records")
 
-    for rid in sorted(session.seen_request_ids):
+    for rid in sorted(accepted):
         result.checked += 1
         rec = records.get(rid)
         if rec is None:
@@ -130,12 +133,34 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
     for rid, n in counts.items():
         if n != 1:
             result.flag(f"{rid}: {n} backend executions")
-        if rid not in session.seen_request_ids:
+        if rid not in accepted:
             result.flag(f"{rid}: executed but never accepted")
     for rid, rec in records.items():
         if counts.get(rid, 0) == 0 and rec.evidence_type != _NO_EXECUTION_EVIDENCE:
             result.flag(f"{rid}: executed record without a receipt")
     return result
+
+
+def _audit_journal(sd: StateDir, session: SessionState, result: AuditResult) -> set[str]:
+    """Flag accepts.log lines that do not parse and any request id, nonce or
+    (epoch, seq) journalled twice in one epoch; the seen sets load_session
+    folds cannot show either. Returns the current epoch's accepted ids."""
+    accepted = set(session.seen_request_ids)  # an older session.json's
+    journalled = set()
+    lines, _ = sd.read_accepts()
+    for n, line in enumerate(lines, 1):
+        try:
+            acc = Acceptance.parse(line)
+        except ValueError:
+            result.flag(f"accepts.log line {n} does not parse: {line!r}")
+            continue
+        for what, key in (("request id", acc.request_id), ("nonce", acc.nonce.hex()), ("seq", acc.seq)):
+            if (acc.epoch, what, key) in journalled:
+                result.flag(f"accepts.log line {n}: {what} {key} journalled twice in epoch {acc.epoch}")
+            journalled.add((acc.epoch, what, key))
+        if acc.epoch == session.epoch:
+            accepted.add(acc.request_id)
+    return accepted
 
 
 def audit_state_consistency(sd: StateDir) -> AuditResult:

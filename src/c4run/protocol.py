@@ -74,6 +74,10 @@ class SessionState:
 
     The epoch advances by exactly one on each anchor (re)start; the seen
     sets, the builder counter, and the watermark all reset with it.
+
+    On disk the parameters (cid, epoch, key, builder counter) are
+    session.json and the seen sets are the epoch's lines of the acceptance
+    journal, accepts.log; the state directory folds the two together.
     """
 
     cid: str
@@ -114,25 +118,31 @@ class SessionState:
         self._watermark = 0
 
     def to_json(self) -> dict:
-        return {
+        """The seen lists appear only when non-empty. session.json is written
+        only at create and at start, where they are empty, so it holds the
+        four parameters alone."""
+        obj = {
             "schema_version": SCHEMA_VERSION,
             "cid": self.cid,
             "epoch": self.epoch,
             "sk_hex": self.sk.hex(),
             "next_seq": self.next_seq,
-            "seen_request_ids": sorted(self.seen_request_ids),
-            "seen_nonces": sorted(n.hex() for n in self.seen_nonces),
         }
+        if self.seen_request_ids or self.seen_nonces:
+            obj["seen_request_ids"] = sorted(self.seen_request_ids)
+            obj["seen_nonces"] = sorted(n.hex() for n in self.seen_nonces)
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SessionState":
+        """Also reads the seen lists an older session.json carries."""
         return cls(
             cid=obj["cid"],
             epoch=int(obj["epoch"]),
             sk=bytes.fromhex(obj["sk_hex"]),
             next_seq=int(obj["next_seq"]),
-            seen_request_ids=set(obj["seen_request_ids"]),
-            seen_nonces={bytes.fromhex(h) for h in obj["seen_nonces"]},
+            seen_request_ids=set(obj.get("seen_request_ids", ())),
+            seen_nonces={bytes.fromhex(h) for h in obj.get("seen_nonces", ())},
         )
 
 
@@ -316,14 +326,17 @@ def validate_request(
 
     Returns None on acceptance, or the first failing check. Checks run in a
     fixed order so reject reasons are deterministic. Acceptance does NOT
-    update the session; callers commit via :func:`commit_acceptance` while
-    holding the session lock.
+    update the session. While holding the session lock, callers commit by
+    appending the request's line to the acceptance journal and, once that
+    is durable, apply it with :func:`commit_acceptance`.
     """
     if req.cid != expected_cid or req.cid != session.cid:
         return RejectReason.BIND_CID_MISMATCH
     if req.epoch != session.epoch:
         return RejectReason.BIND_EPOCH_MISMATCH
-    if not req.request_id.startswith(f"{req.epoch}-{req.seq}-"):
+    # The id also names the request's files and its accepts.log line, and a
+    # whitespace character in it would make that line unreadable.
+    if not req.request_id.startswith(f"{req.epoch}-{req.seq}-") or any(c.isspace() for c in req.request_id):
         return RejectReason.BIND_REQUEST_ID_MISMATCH
     if not _response_path_ok(req.response_path):
         return RejectReason.BIND_BAD_RESPONSE_PATH
@@ -341,8 +354,10 @@ def validate_request(
 def commit_acceptance(session: SessionState, req: StageRequest) -> None:
     """Record an accepted request: grow the seen sets, advance the watermark.
 
-    The persisted builder counter advances too, so a builder reloading the
-    session mid-epoch continues above everything already accepted.
+    Only ``request_id``, ``nonce`` and ``seq`` are read, so a journal line
+    (``statedir.Acceptance``) applies the same way. The builder counter
+    advances too, so a builder loading the session mid-epoch continues
+    above everything already accepted.
     """
     session.seen_request_ids.add(req.request_id)
     session.seen_nonces.add(req.nonce)

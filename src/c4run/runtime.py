@@ -168,7 +168,7 @@ def cmd_start(root: Path, cid: str) -> dict:
 
     # Prepared: fresh epoch for the new anchor, then fork the supervisor.
     with sd.session_lock():
-        session = sd.load_session()
+        session = sd.load_session_params()
         session.advance_epoch()
         sd.save_session(session)
     for stale in (sd.anchor_pid_path, sd.anchor_exit_path):

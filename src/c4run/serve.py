@@ -10,12 +10,15 @@ instances on one instance directory:
   sequence-number order, so the accepted-seq watermark only ever moves
   forward and concurrent instances cannot reject each other's in-order
   honest requests.
-- The acceptance commit (seen sets + watermark in session.json) is durable
-  before any execution side effect; a request that crashed before the
-  commit can be requeued and revalidated as if never seen.
+- The acceptance commit (the request's line appended to accepts.log and
+  fsynced) is durable before any execution side effect; a request that
+  crashed before the commit can be requeued and revalidated as if never
+  seen. Each serve instance keeps the session in memory, folded from the
+  journal once and then from the lines other instances append, so the cost
+  of a request does not grow with the epoch.
 - A started marker binds request to stage identifier before the backend is
   invoked; meta.json is the durable proof that the outcome was recorded.
-  Recovery uses the ladder (response? meta? marker? committed?) to requeue,
+  Recovery uses the ladder (response? meta? marker? journalled?) to requeue,
   resume, replay the response, or fail a claim as ambiguous — never running
   the backend twice for one accepted request.
 - An idle loop waits on the wake FIFO that spool_request rings, for at most
@@ -68,7 +71,6 @@ from .lifecycle import (
 from .protocol import (
     RejectReason,
     ResponseStatus,
-    SessionState,
     StageRequest,
     build_response,
     commit_acceptance,
@@ -179,7 +181,11 @@ def claim_next(sd: StateDir) -> Optional[Path]:
 
 
 class ServeLoop:
-    """One serve instance bound to one composite instance."""
+    """One serve instance bound to one composite instance.
+
+    It reads the session once, so build it on a started instance: the
+    epoch it validates against is the one start set.
+    """
 
     def __init__(
         self,
@@ -208,6 +214,10 @@ class ServeLoop:
         self.idle_polls = idle_polls
         self.stop_check = stop_check or (lambda: False)
         self._terminal_cache: tuple[float, bool] = (0.0, False)
+        # Always session.json plus exactly the first _journal_pos bytes of
+        # accepts.log; advanced only under the session lock.
+        self._session = sd.load_session_params()
+        self._journal_pos = 0
 
     # -- cancellation -------------------------------------------------------
 
@@ -250,13 +260,14 @@ class ServeLoop:
                 return None, self._finalize_rejected(
                     claimed, request_id, RejectReason.AUTH_MAC_INVALID, claimed_at
                 )
-            session = self.sd.load_session()
-            reason = validate_request(req, session, self.sd.cid)
+            # Catch up on what other serve instances accepted since.
+            self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
+            reason = validate_request(req, self._session, self.sd.cid)
             if reason is not None:
                 return None, self._finalize_rejected(claimed, req.request_id, reason, claimed_at, req)
-            commit_acceptance(session, req)
             crash_if("accept:pre-commit")
-            self.sd.save_session(session)
+            self._journal_pos = self.sd.append_accept(self._journal_pos, req)
+            commit_acceptance(self._session, req)
             crash_if("accept:post-commit")
         return self._bind(req, claimed, claimed_at), None
 
@@ -279,9 +290,8 @@ class ServeLoop:
         """Rejected requests never reach protected execution; they get an
         authenticated negative response so an honest anchor can tell
         rejection from a host drop."""
-        session = self.sd.load_session()
         resp = build_response(
-            session,
+            self._session,
             request_id,
             rc=1,
             status=ResponseStatus.REJECTED,
@@ -391,9 +401,8 @@ class ServeLoop:
         )
 
     def _write_stage_response(self, request_id: str, record: StageRecord, output: bytes) -> None:
-        session = self.sd.load_session()
         resp = build_response(
-            session,
+            self._session,
             request_id,
             rc=record.rc,
             status=ResponseStatus.COMPLETED if record.status == "completed" else ResponseStatus.FAILED,
@@ -528,8 +537,8 @@ class ServeLoop:
         - response exists               -> clean up claim bookkeeping
         - stage record exists           -> replay the response from it
         - started marker, no record     -> ambiguous execution: fail safely
-        - accepted, no started marker   -> resume the pipeline (runs once)
-        - never accepted                -> requeue for fresh validation
+        - journalled, no started marker -> resume the pipeline (runs once)
+        - never journalled              -> requeue for fresh validation
         """
         actions: list[dict] = []
         try:
@@ -538,10 +547,11 @@ class ServeLoop:
         except BlockingIOError:
             raise IllegalStateError(f"{self.sd.cid}: serve instances are active; cannot recover")
         try:
-            session = self.sd.load_session()
+            # No serve instance runs, so nothing appends to the journal.
+            self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
             for claimed in self.sd.claimed_requests():
                 request_id = claimed.stem
-                action = self._recover_one(claimed, request_id, session)
+                action = self._recover_one(claimed, request_id)
                 actions.append({"request_id": request_id, "action": action})
             for marker in self.sd.started_markers():
                 # A marker without its claimed file means the crash hit the
@@ -552,7 +562,7 @@ class ServeLoop:
             lock_ctx.__exit__(None, None, None)
         return actions
 
-    def _recover_one(self, claimed: Path, request_id: str, session: SessionState) -> str:
+    def _recover_one(self, claimed: Path, request_id: str) -> str:
         if self.sd.has_response(request_id):
             self._cleanup_claim(request_id, claimed)
             return "cleaned"
@@ -574,7 +584,7 @@ class ServeLoop:
                 self._fail_fast(record.eid, record.rc)
             return "response_replayed"
 
-        if marker is None and request_id not in session.seen_request_ids:
+        if marker is None and request_id not in self._session.seen_request_ids:
             self.sd.requeue_claimed(claimed)
             return "requeued"
 
@@ -615,7 +625,7 @@ class ServeLoop:
                 self._fail_fast(marker["eid"], RECOVERY_AMBIGUOUS_RC)
             return "failed_ambiguous"
 
-        # Committed but no started marker; requeueing would self-reject as a
+        # Journalled but no started marker; requeueing would self-reject as a
         # replay, so resume under the eid its (epoch, seq) names, reusing a
         # directory an earlier bind left empty.
         result = self.execute_accepted(self._bind(req, claimed, time.time()))

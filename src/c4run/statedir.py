@@ -3,7 +3,10 @@
 Layout under ``<root>/<cid>/``:
 
     state.json            lifecycle record (see CompositeStateRecord)
-    session.json          session parameters + replay bookkeeping
+    session.json          session parameters: cid, epoch, key, builder
+                          counter; written only by create and start
+    accepts.log           acceptance journal, one line per accepted request
+                          (``<request_id> <nonce_hex>``), under the session lock
     requests/             pending request files <request_id>.req
     requests/claimed/     claimed request files (+ .started markers)
     responses/            response files <request_id>.resp
@@ -38,10 +41,14 @@ protocol layer). What this module does guarantee:
   stale writers cannot clobber newer records.
 - Identifier freshness: a stage is named after its accepted request's
   (epoch, seq), which never repeats among accepted requests.
-  ``validate_request`` rejects seq below the watermark, ``commit_acceptance``
-  raises the watermark to seq + 1, and ``save_session`` makes that durable
-  before the name is bound. The bind only accepts the session's current
-  epoch, and ``advance_epoch`` only increments it.
+  ``validate_request`` rejects seq below the watermark, and the request's
+  line in accepts.log, appended and fsynced before the name is bound, is
+  what raises it to seq + 1 (``commit_acceptance`` applies the line). The
+  bind only accepts the session's current epoch, and ``advance_epoch``
+  only increments it.
+- Journal tails: accepts.log is read up to its last newline. A line with
+  no newline is the torn tail of an append that crashed before its fsync;
+  that acceptance never committed, and the next append cuts it off.
 - Write-once artifacts: responses and stage records cannot be overwritten.
 - The wake FIFO carries no state: the spool files are the only truth, so a
   lost or missing ring delays serve by one poll interval and nothing else.
@@ -62,7 +69,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import fsutil
 from .crashpoints import crash_if
@@ -82,7 +89,7 @@ from .lifecycle import (
     TerminationReason,
     validate_transition,
 )
-from .protocol import SCHEMA_VERSION, SessionState
+from .protocol import SCHEMA_VERSION, SessionState, StageRequest, commit_acceptance
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +133,24 @@ class StageRecord:
     def from_json(cls, obj: dict) -> "StageRecord":
         fields = {k: v for k, v in obj.items() if k != "schema_version"}
         return cls(**fields)
+
+
+class Acceptance(NamedTuple):
+    """One accepts.log line, ``<request_id> <nonce_hex>``: an accepted
+    request. ``validate_request`` binds the id to ``<epoch>-<seq>-``, so
+    the line carries both."""
+
+    request_id: str
+    nonce: bytes
+    epoch: int
+    seq: int
+
+    @classmethod
+    def parse(cls, line: bytes) -> "Acceptance":
+        """Parse a line without its newline; ValueError if malformed."""
+        request_id, nonce_hex = line.decode().split(" ")
+        epoch, seq, _ = request_id.split("-", 2)
+        return cls(request_id, bytes.fromhex(nonce_hex), int(epoch), int(seq))
 
 
 def record_to_json(rec: CompositeStateRecord) -> dict:
@@ -198,6 +223,10 @@ class StateDir:
     @property
     def session_path(self) -> Path:
         return self.path / "session.json"
+
+    @property
+    def accepts_path(self) -> Path:
+        return self.path / "accepts.log"
 
     @property
     def requests_dir(self) -> Path:
@@ -332,11 +361,11 @@ class StateDir:
         crash_if("create:post-bundle")
         self.anchor_out_path.touch()
         self.events_path.touch()
+        self.accepts_path.touch()
         self.receipts_path.touch()
         for name in ("state.json", "session.json", "events.json", "serve"):
             self._lock_path(name).touch()
-        session = SessionState(cid=self.cid, epoch=0, sk=_derive_session_key(self.cid, session_seed))
-        fsutil.atomic_write_json(self.session_path, session.to_json())
+        self.save_session(SessionState(cid=self.cid, epoch=0, sk=_derive_session_key(self.cid, session_seed)))
         crash_if("create:post-session")
         rec = CompositeStateRecord(cid=self.cid, state=LifecycleState.PREPARED, ver=1)
         fsutil.atomic_write_json(self.state_path, record_to_json(rec))
@@ -449,6 +478,14 @@ class StateDir:
     # -- session ----------------------------------------------------------
 
     def load_session(self) -> SessionState:
+        """The session as validation sees it: session.json's parameters with
+        the current epoch's accepted requests folded in from accepts.log."""
+        session = self.load_session_params()
+        self.fold_accepts(session, 0)
+        return session
+
+    def load_session_params(self) -> SessionState:
+        """session.json alone, without the journal's accepted requests."""
         try:
             obj = fsutil.read_json(self.session_path, "session.json")
         except FileNotFoundError:
@@ -459,7 +496,58 @@ class StateDir:
             raise CorruptStateError(f"{self.cid}: malformed session.json: {exc}") from exc
 
     def save_session(self, session: SessionState) -> None:
+        """Replace session.json; create and start are its only writers."""
         fsutil.atomic_write_json(self.session_path, session.to_json())
+
+    # -- acceptance journal -------------------------------------------------
+
+    def read_accepts(self, pos: int = 0) -> tuple[list[bytes], int]:
+        """The complete lines of accepts.log past byte offset pos (without
+        their newlines), and the offset just after the last of them."""
+        try:
+            with open(self.accepts_path, "rb") as f:
+                f.seek(pos)
+                data = f.read()
+        except FileNotFoundError:
+            return [], pos
+        end = data.rfind(b"\n") + 1
+        return data[:end].splitlines(), pos + end
+
+    def fold_accepts(self, session: SessionState, pos: int) -> int:
+        """Apply the journal's complete lines past pos to session, skipping
+        other epochs' lines; returns the offset after the last one read."""
+        lines, end = self.read_accepts(pos)
+        for line in lines:
+            try:
+                acc = Acceptance.parse(line)
+            except ValueError as exc:
+                raise CorruptStateError(f"{self.cid}: malformed accepts.log line {line!r}") from exc
+            if acc.epoch == session.epoch:
+                commit_acceptance(session, acc)
+        return end
+
+    def append_accept(self, pos: int, req: StageRequest) -> int:
+        """Commit an acceptance: write its line at offset pos and fsync.
+
+        The caller holds the session lock and has folded the journal up to
+        pos, the end of its last complete line, so anything past pos is the
+        torn tail of an append that crashed; it is cut off first. Returns
+        the offset after the new line.
+        """
+        line = f"{req.request_id} {req.nonce.hex()}\n".encode()
+        created = not self.accepts_path.exists()  # an instance created before the journal
+        with open(self.accepts_path, "ab") as f:
+            size = f.tell()
+            if size < pos:
+                raise CorruptStateError(f"{self.cid}: accepts.log is shorter than its folded prefix")
+            if size > pos:
+                f.truncate(pos)
+            f.write(line)
+            f.flush()
+            os.fsync(f.fileno())
+        if created:
+            fsutil.fsync_dir(self.path)
+        return pos + len(line)
 
     # -- stage identifiers --------------------------------------------------
 

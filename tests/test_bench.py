@@ -13,7 +13,7 @@ from c4run.bench.campaigns import (
 from c4run.bundle import write_test_bundle
 from c4run.lifecycle import EventSource, TerminationEvent, TerminationReason
 from c4run.serve import ServeLoop
-from c4run.statedir import StateDir
+from c4run.statedir import Acceptance, StateDir
 
 
 def _healthy_round(root, bundle, cid):
@@ -65,6 +65,31 @@ def test_audit_flags_record_whose_seq_does_not_name_it(root, sim_bundle):
     assert not result.passed
     assert any(v.startswith(f"{eid}: recorded (epoch, seq)") for v in result.violations), result.violations
     runtime.cmd_delete(root, "a6")
+
+
+def test_audit_flags_a_journal_line_written_twice(root, sim_bundle):
+    # The seen sets cannot hold a duplicate; the journal can.
+    sd = _healthy_round(root, sim_bundle, "a7")
+    lines = sd.accepts_path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 4 and audit_artifacts(sd).passed
+    sd.accepts_path.write_bytes(b"".join(lines + lines[1:2]))
+    dup = Acceptance.parse(lines[1].rstrip(b"\n"))
+    result = audit_artifacts(sd)
+    assert result.violations == [
+        f"accepts.log line 5: {what} {key} journalled twice in epoch {dup.epoch}"
+        for what, key in (("request id", dup.request_id), ("nonce", dup.nonce.hex()), ("seq", dup.seq))
+    ]
+    runtime.cmd_delete(root, "a7")
+
+
+def test_audit_flags_a_journal_line_that_does_not_parse(root, sim_bundle):
+    sd = _healthy_round(root, sim_bundle, "a8")
+    lines = sd.accepts_path.read_bytes().splitlines(keepends=True)
+    lines[1] = b"1-x-0 zz\n"
+    sd.accepts_path.write_bytes(b"".join(lines))
+    result = audit_artifacts(sd)
+    assert "accepts.log line 2 does not parse: b'1-x-0 zz'" in result.violations, result.violations
+    runtime.cmd_delete(root, "a8")
 
 
 def test_audit_flags_tampered_exit_code(root, sim_bundle):

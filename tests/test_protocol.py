@@ -200,6 +200,17 @@ def test_request_id_is_bound_to_its_epoch_and_seq():
     assert validate_request(second, again, "c4-golden") is RejectReason.ORDER_STALE_SEQ
 
 
+@pytest.mark.parametrize("suffix", ["a b", "a\nb", "ab\t", "a\u2028b"])
+def test_request_id_with_whitespace_is_rejected(suffix):
+    # An accepted id becomes a line of accepts.log; whitespace would split it.
+    session = fresh_session()
+    honest = build_request(session, "hello", b"p")
+    rid = f"{honest.epoch}-{honest.seq}-{suffix}"
+    forged = dataclasses.replace(honest, request_id=rid, response_path=f"responses/{rid}.resp", mac=b"")
+    forged = dataclasses.replace(forged, mac=request_mac(session.sk, forged))
+    assert validate_request(forged, session, "c4-golden") is RejectReason.BIND_REQUEST_ID_MISMATCH
+
+
 @pytest.mark.parametrize(
     "path",
     ["../../etc/x", "/etc/x", "responses/../session.json", "responses", "responses/a/b", "", "requests/x"],

@@ -9,8 +9,8 @@ from c4run.crashpoints import CRASH_POINTS, InjectedCrash, armed
 from c4run.errors import IllegalStateError
 from c4run.fsutil import read_json
 from c4run.protocol import ResponseStatus, build_request, request_to_envelope, response_from_envelope
-from c4run.serve import RECOVERY_AMBIGUOUS_RC, ServeLoop
-from c4run.statedir import StateDir
+from c4run.serve import RECOVERY_AMBIGUOUS_RC, ServeLoop, claim_next
+from c4run.statedir import Acceptance, StateDir
 
 
 def _spool_one(sd: StateDir, stage="hello"):
@@ -64,6 +64,30 @@ def test_crash_after_commit_resumes_without_revalidation(running_instance):
     assert actions == [{"request_id": req.request_id, "action": "resumed_completed"}]
     assert _executions(sd, req.request_id) == 1
     assert _response_status(sd, req.request_id) is ResponseStatus.COMPLETED
+
+
+def test_torn_journal_line_is_no_acceptance(running_instance):
+    # A serve that died mid-append left its request claimed and half its
+    # journal line written: that acceptance never committed.
+    sd = running_instance
+    first = _spool_one(sd)
+    ServeLoop(sd, workers=1).process_next()
+    req = _spool_one(sd)
+    assert claim_next(sd) is not None
+    line = f"{req.request_id} {req.nonce.hex()}\n".encode()
+    with open(sd.accepts_path, "ab") as f:
+        f.write(line[: len(line) // 2])
+
+    session = sd.load_session()
+    assert first.request_id in session.seen_request_ids
+    assert req.request_id not in session.seen_request_ids and req.nonce not in session.seen_nonces
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "requeued"}]
+    assert ServeLoop(sd, workers=1).process_next().terminal.value == "completed"
+    assert _executions(sd, req.request_id) == 1
+    journal = sd.accepts_path.read_bytes()
+    assert journal.endswith(b"\n")
+    accepted = [Acceptance.parse(x) for x in journal.splitlines()]
+    assert [(a.request_id, a.nonce) for a in accepted] == [(first.request_id, first.nonce), (req.request_id, req.nonce)]
 
 
 def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_instance):

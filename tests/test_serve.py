@@ -1,6 +1,9 @@
+import dataclasses
+import json
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -13,6 +16,8 @@ from c4run.lifecycle import LifecycleState as L
 from c4run.protocol import (
     ResponseStatus,
     build_request,
+    commit_acceptance,
+    request_mac,
     request_to_envelope,
     response_from_envelope,
     verify_response,
@@ -184,6 +189,73 @@ def test_two_serve_loops_name_every_stage_after_its_request(running_instance):
     assert by_rid == {r.request_id: f"eid-{r.epoch}-{r.seq}" for r in reqs}
     ipr = audit_artifacts(sd)
     assert ipr.passed, ipr.violations
+
+
+def test_second_serve_loop_sees_the_first_ones_accepts(running_instance):
+    # Loop B's session is warm before loop A accepts r, so B catches every
+    # replay of r only by reading the journal lines A appended since.
+    sd = running_instance
+    loop_a = ServeLoop(sd, workers=1)
+    loop_b = ServeLoop(StateDir(sd.path.parent, sd.cid), workers=1)
+    _spool(sd)
+    assert loop_b.process_next().terminal is StagePipelineState.COMPLETED
+
+    session = sd.load_session()
+    earlier = build_request(session, "hello", b"p")
+    r = build_request(session, "hello", b"p")
+    sd.spool_request(request_to_envelope(r), r.request_id)
+    assert loop_a.process_next().terminal is StagePipelineState.COMPLETED
+    same_nonce = dataclasses.replace(build_request(session, "hello", b"p"), nonce=r.nonce, mac=b"")
+    same_nonce = dataclasses.replace(same_nonce, mac=request_mac(session.sk, same_nonce))
+
+    for req, reason in ((r, "fresh_replayed_id"), (same_nonce, "fresh_replayed_nonce"), (earlier, "order_stale_seq")):
+        sd.spool_request(request_to_envelope(req), req.request_id)
+        assert loop_b.process_next().reject_reason == reason
+    receipts = Counter(x["request_id"] for x in load_receipts(sd.receipts_path))
+    assert (receipts[r.request_id], receipts[same_nonce.request_id], receipts[earlier.request_id]) == (1, 0, 0)
+    assert _response(sd, r.request_id).status is ResponseStatus.COMPLETED
+    assert _response(sd, same_nonce.request_id).reject_reason.value == "fresh_replayed_nonce"
+    assert _response(sd, earlier.request_id).reject_reason.value == "order_stale_seq"
+
+
+def test_serve_cost_does_not_grow_with_the_epoch(running_instance, monkeypatch):
+    # Each accept appends one journal line: serve never rewrites
+    # session.json and reads the session at most once.
+    sd = running_instance
+    after_start = sd.session_path.read_bytes()
+    _spool(sd, n=200)
+    calls = Counter()
+    for name in ("load_session", "save_session"):
+        def counted(self, *args, _name=name, _original=getattr(StateDir, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(StateDir, name, counted)
+    summary = ServeLoop(sd, workers=4).run(mode="until-idle")
+    assert (summary.completed, summary.rejected, summary.failed) == (200, 0, 0)
+    assert sd.session_path.read_bytes() == after_start
+    assert len(sd.accepts_path.read_bytes().splitlines()) == 200
+    assert calls["load_session"] <= 1 and calls["save_session"] == 0
+
+
+def test_session_from_before_the_journal_keeps_its_accepted_requests(running_instance):
+    # An older session.json lists the epoch's accepted requests and there is
+    # no accepts.log: the list still counts, and the first accept makes it.
+    sd = running_instance
+    session = sd.load_session()
+    old = build_request(session, "hello", b"p")
+    commit_acceptance(session, old)
+    sd.session_path.write_text(json.dumps(session.to_json()))
+    sd.accepts_path.unlink()
+    fresh = build_request(session, "hello", b"p")
+    for req in (old, fresh):
+        sd.spool_request(request_to_envelope(req), req.request_id)
+
+    loop = ServeLoop(sd, workers=1)
+    assert loop.process_next().reject_reason == "fresh_replayed_id"
+    assert loop.process_next().terminal is StagePipelineState.COMPLETED
+    assert sd.accepts_path.read_bytes() == f"{fresh.request_id} {fresh.nonce.hex()}\n".encode()
+    assert sd.load_session().seen_request_ids == {old.request_id, fresh.request_id}
 
 
 def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):

@@ -1,3 +1,4 @@
+import json
 import os
 import threading
 import time
@@ -38,6 +39,7 @@ def test_init_materializes_full_layout(root, sim_bundle):
         sd.responses_dir,
         sd.enclaves_dir,
         sd.anchor_out_path,
+        sd.accepts_path,
         sd.bundle_dir,
         sd.rootfs_dir,
         sd.marker_path,
@@ -49,6 +51,7 @@ def test_init_materializes_full_layout(root, sim_bundle):
     assert not (sd.path / "eid.seq").exists()
     session = sd.load_session()
     assert session.epoch == 0 and session.next_seq == 0
+    assert set(json.loads(sd.session_path.read_text())) == {"schema_version", "cid", "epoch", "sk_hex", "next_seq"}
 
 
 def test_init_idempotent_no_rewrites(root, sim_bundle):
