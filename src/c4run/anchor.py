@@ -28,6 +28,7 @@ import sys
 import time
 from pathlib import Path
 
+from .errors import CorruptStateError
 from .fsutil import read_json
 from .protocol import (
     ResponseStatus,
@@ -63,8 +64,11 @@ def run_workload(sd: StateDir, session: SessionState, workload: dict) -> int:
         while outstanding:
             ready = [rid for rid in outstanding if sd.has_response(rid)]
             for rid in ready:
-                resp = response_from_envelope(read_json(sd.response_path(rid), "response"))
-                if not verify_response(resp, session, outstanding):
+                try:
+                    resp = response_from_envelope(read_json(sd.response_path(rid), "response"))
+                except (ValueError, CorruptStateError):
+                    resp = None  # the host wrote something that is not a response
+                if resp is None or not verify_response(resp, session, outstanding):
                     failures.append(f"{rid}: response failed verification")
                 elif resp.status is ResponseStatus.COMPLETED:
                     completed += 1

@@ -19,13 +19,6 @@ from .sim import FaultPolicy, SimulatorAdapter
 BACKEND_IDS = ("sim", "localexec")
 
 
-def fault_injection_controls(adapter: AdapterBase, policy: FaultPolicy) -> None:
-    """Install a harness fault policy; only the simulator supports one."""
-    if not isinstance(adapter, SimulatorAdapter):
-        raise UsageError(f"{adapter.backend_id} does not accept fault policies")
-    adapter.set_fault_policy(policy)
-
-
 def create_adapter(
     backend_id: str,
     stage_table: dict,
@@ -54,7 +47,6 @@ __all__ = [
     "SimulatorAdapter",
     "LocalExecAdapter",
     "create_adapter",
-    "fault_injection_controls",
     "load_receipts",
     "BACKEND_IDS",
 ]

@@ -43,7 +43,8 @@ _TICK_S = 0.01
 
 @dataclass
 class FaultPolicy:
-    """Harness-facing knobs; inert by default."""
+    """Harness-facing knobs, set as ``SimulatorAdapter.fault_policy``; inert
+    by default."""
 
     fail_prepare_after: Optional[int] = None  # prepares beyond this count fail
     execute_latency: Optional[tuple[float, float]] = None  # uniform seconds
@@ -68,10 +69,6 @@ class SimulatorAdapter(AdapterBase):
         self.fault_policy = FaultPolicy()
         self._prepare_count = 0
         self._rng = random.Random()
-
-    def set_fault_policy(self, policy: FaultPolicy) -> None:
-        self.fault_policy = policy
-        self._prepare_count = 0
 
     def _prepare_context(self, cid: str, eid: str, stage: str) -> _StageContext:
         spec = self.stage_table.get(stage)

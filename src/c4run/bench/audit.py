@@ -145,7 +145,7 @@ def _audit_journal(sd: StateDir, session: SessionState, result: AuditResult) -> 
     """Flag accepts.log lines that do not parse and any request id, nonce or
     (epoch, seq) journalled twice in one epoch; the seen sets load_session
     folds cannot show either. Returns the current epoch's accepted ids."""
-    accepted = set(session.seen_request_ids)  # an older session.json's
+    accepted = set()
     journalled = set()
     lines, _ = sd.read_accepts()
     for n, line in enumerate(lines, 1):

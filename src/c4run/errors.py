@@ -5,7 +5,6 @@ testable: 0 success, 1 usage, 2 not-found, 3 illegal-state, 4 timeout,
 5 internal.
 """
 
-EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_FOUND = 2
 EXIT_ILLEGAL_STATE = 3

@@ -76,7 +76,7 @@ def read_json(path: Path, what: str = "artifact") -> Any:
         raise
     try:
         return json.loads(raw)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CorruptStateError(f"unparseable {what} at {path}: {exc}") from exc
 
 

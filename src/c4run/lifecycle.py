@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ContractViolation
 
@@ -257,10 +257,9 @@ class HealthEvidence:
 
 @dataclass(frozen=True)
 class TeeEvidence:
-    """Stage activity observations: in-flight count, timeout flag, last exit rc."""
+    """Stage activity observations: in-flight count and last exit rc."""
 
     e_call: int = 0
-    e_timeout: Optional[bool] = None
     e_exit: Optional[int] = None
 
 
@@ -271,26 +270,16 @@ class ObservabilityEvidence:
     tee: TeeEvidence = field(default_factory=TeeEvidence)
 
 
-TrustPolicy = Callable[[TrustEvidence], bool]
-
-
-def default_trust_policy(trust: TrustEvidence) -> bool:
-    """Accept only a complete evidence tuple whose binding check passed."""
-    return trust.complete and trust.e_bind is True
-
-
-def evaluate_observability(
-    evidence: ObservabilityEvidence,
-    policy: TrustPolicy = default_trust_policy,
-) -> tuple[TrustFlag, HealthFlag, TeePhase]:
+def evaluate_observability(evidence: ObservabilityEvidence) -> tuple[TrustFlag, HealthFlag, TeePhase]:
     """Derive the auxiliary flags from evidence without touching lifecycle state.
 
     Absent evidence always maps to unknown, never to a definite verdict; a
-    rejection requires the full evidence tuple to be present.
+    rejection requires the full evidence tuple to be present, and trust
+    requires its binding check to have passed.
     """
     if not evidence.trust.complete:
         trust = TrustFlag.UNKNOWN
-    elif policy(evidence.trust):
+    elif evidence.trust.e_bind is True:
         trust = TrustFlag.TRUSTED
     else:
         trust = TrustFlag.UNTRUSTED
@@ -378,12 +367,3 @@ def evaluate_readiness(
     if require_conf:
         return prepared_t and trust is TrustFlag.TRUSTED
     return True
-
-
-def legal_event_classes() -> Iterable[tuple[EventSource, TerminationReason]]:
-    """All (src, reason) pairs constructible as TerminationEvents."""
-    for src in EventSource:
-        for reason in TerminationReason:
-            if reason is TerminationReason.POLICY and src is not EventSource.POLICY:
-                continue
-            yield src, reason

@@ -22,6 +22,7 @@ import base64
 import hashlib
 import hmac
 import os
+import re
 import secrets
 import struct
 from dataclasses import dataclass, field, replace
@@ -66,42 +67,32 @@ class SessionState:
     """Per-instance session parameters plus replay bookkeeping.
 
     ``next_seq`` is the builder's counter: the next sequence number the
-    anchor will emit. The *acceptance watermark* — strictly greater than
-    the last accepted sequence number — is derived from the accepted
-    request ids (which embed epoch and seq, and are only consulted after
-    authentication), so building a request never affects what the
-    validator will accept.
+    anchor will emit. The *acceptance watermark*, strictly greater than the
+    last accepted sequence number, moves only when an acceptance is applied
+    (:func:`commit_acceptance`), so building a request never affects what
+    the validator will accept.
 
     The epoch advances by exactly one on each anchor (re)start; the seen
     sets, the builder counter, and the watermark all reset with it.
 
     On disk the parameters (cid, epoch, key, builder counter) are
     session.json and the seen sets are the epoch's lines of the acceptance
-    journal, accepts.log; the state directory folds the two together.
+    journal, accepts.log; the state directory folds the two together. The
+    seen sets are therefore never constructor arguments: they start empty
+    with the watermark at 0.
     """
 
     cid: str
     epoch: int
     sk: bytes
     next_seq: int = 0
-    seen_request_ids: set[str] = field(default_factory=set)
-    seen_nonces: set[bytes] = field(default_factory=set)
+    seen_request_ids: set[str] = field(default_factory=set, init=False)
+    seen_nonces: set[bytes] = field(default_factory=set, init=False)
 
     def __post_init__(self) -> None:
         if len(self.sk) != SK_LEN:
             raise ContractViolation(f"session key must be {SK_LEN} bytes")
-        self._watermark = self._derive_watermark()
-
-    def _derive_watermark(self) -> int:
-        prefix = f"{self.epoch}-"
-        best = -1
-        for rid in self.seen_request_ids:
-            if rid.startswith(prefix):
-                try:
-                    best = max(best, int(rid.split("-", 2)[1]))
-                except (IndexError, ValueError):
-                    continue
-        return best + 1
+        self._watermark = 0
 
     @property
     def next_expected_accept_seq(self) -> int:
@@ -118,31 +109,21 @@ class SessionState:
         self._watermark = 0
 
     def to_json(self) -> dict:
-        """The seen lists appear only when non-empty. session.json is written
-        only at create and at start, where they are empty, so it holds the
-        four parameters alone."""
-        obj = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "cid": self.cid,
             "epoch": self.epoch,
             "sk_hex": self.sk.hex(),
             "next_seq": self.next_seq,
         }
-        if self.seen_request_ids or self.seen_nonces:
-            obj["seen_request_ids"] = sorted(self.seen_request_ids)
-            obj["seen_nonces"] = sorted(n.hex() for n in self.seen_nonces)
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SessionState":
-        """Also reads the seen lists an older session.json carries."""
         return cls(
             cid=obj["cid"],
             epoch=int(obj["epoch"]),
             sk=bytes.fromhex(obj["sk_hex"]),
             next_seq=int(obj["next_seq"]),
-            seen_request_ids=set(obj.get("seen_request_ids", ())),
-            seen_nonces={bytes.fromhex(h) for h in obj.get("seen_nonces", ())},
         )
 
 
@@ -402,6 +383,18 @@ _RESP_KEYS = {
 }
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_utf8(value) -> bool:
+    """A str the canonical encoding can carry: no lone surrogate."""
+    return isinstance(value, str) and not _SURROGATE.search(value)
+
+
+def _is_int_in(value, lo: int, hi: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+
+
 def request_to_envelope(req: StageRequest) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -420,9 +413,9 @@ def request_to_envelope(req: StageRequest) -> dict:
 def request_from_envelope(obj: dict) -> StageRequest:
     if not isinstance(obj, dict) or set(obj) != _REQ_KEYS or obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError("malformed request envelope")
-    if not all(isinstance(obj[k], str) for k in ("stage", "cid", "request_id", "nonce_hex", "response_path", "payload_b64", "mac_hex")):
+    if not all(_is_utf8(obj[k]) for k in ("stage", "cid", "request_id", "nonce_hex", "response_path", "payload_b64", "mac_hex")):
         raise ValueError("malformed request envelope")
-    if not all(isinstance(obj[k], int) and not isinstance(obj[k], bool) and obj[k] >= 0 for k in ("epoch", "seq")):
+    if not all(_is_int_in(obj[k], 0, 2**64 - 1) for k in ("epoch", "seq")):
         raise ValueError("malformed request envelope")
     return StageRequest(
         stage=obj["stage"],
@@ -453,12 +446,18 @@ def response_to_envelope(resp: StageResponse) -> dict:
 def response_from_envelope(obj: dict) -> StageResponse:
     if not isinstance(obj, dict) or set(obj) != _RESP_KEYS or obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError("malformed response envelope")
+    if (
+        not all(_is_utf8(obj[k]) for k in ("request_id", "status", "output_b64", "mac_hex"))
+        or not all(obj[k] is None or _is_utf8(obj[k]) for k in ("eid", "reject_reason"))
+        or not _is_int_in(obj["rc"], -(2**63), 2**63 - 1)
+    ):
+        raise ValueError("malformed response envelope")
     return StageResponse(
         request_id=obj["request_id"],
         eid=obj["eid"],
-        rc=int(obj["rc"]),
+        rc=obj["rc"],
         status=ResponseStatus(obj["status"]),
         output=base64.b64decode(obj["output_b64"], validate=True),
-        reject_reason=RejectReason(obj["reject_reason"]) if obj["reject_reason"] else None,
+        reject_reason=None if obj["reject_reason"] is None else RejectReason(obj["reject_reason"]),
         mac=bytes.fromhex(obj["mac_hex"]),
     )

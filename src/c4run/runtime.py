@@ -26,7 +26,7 @@ import os
 import signal
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .backends.base import TIMEOUT_RC
 from .bundle import load_bundle
@@ -137,7 +137,7 @@ def cmd_delete(root: Path, cid: str, *, force: bool = False) -> dict:
     pid = (rec.anchor_pid if rec else None) or sd.read_anchor_pid()
     if _anchor_alive(sd, pid):
         _signal_group(pid, signal.SIGKILL)
-        _await_anchor_exit(sd, DEFAULT_KILL_GRACE_S)
+        _poll_until(lambda: sd.read_anchor_exit() is not None, DEFAULT_KILL_GRACE_S)
     sd.delete()
     return {"cid": cid, "deleted": True}
 
@@ -346,9 +346,9 @@ def cmd_kill(
         pid = rec.anchor_pid or sd.read_anchor_pid()
         if sd.read_anchor_exit() is None and pid is not None:
             _signal_group(pid, sig)
-            if not _await_anchor_exit(sd, grace_s):
+            if not _poll_until(lambda: sd.read_anchor_exit() is not None, grace_s):
                 _signal_group(pid, signal.SIGKILL)
-                _await_anchor_exit(sd, grace_s)
+                _poll_until(lambda: sd.read_anchor_exit() is not None, grace_s)
         _record_anchor_exit_event(sd)
         _await_stage_drain(sd, grace_s)
 
@@ -377,22 +377,18 @@ def _signal_group(pid: int, sig: int) -> None:
             pass
 
 
-def _await_anchor_exit(sd: StateDir, timeout_s: float) -> bool:
+def _poll_until(done: Callable[[], bool], timeout_s: float) -> bool:
+    """Poll done every 20 ms until it holds (True) or timeout_s passes (False)."""
     deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if sd.read_anchor_exit() is not None:
-            return True
+    while not done():
+        if time.monotonic() >= deadline:
+            return False
         time.sleep(0.02)
-    return sd.read_anchor_exit() is not None
+    return True
 
 
-def _await_stage_drain(sd: StateDir, timeout_s: float) -> bool:
+def _await_stage_drain(sd: StateDir, timeout_s: float) -> None:
     """In-flight stages observe the kill marker and cancel; wait briefly for
     their records to settle so the terminal reduction sees them."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if sd.in_flight_count() == 0:
-            return True
-        time.sleep(0.02)
-    logger.warning("%s: stages still in flight after kill grace", sd.cid)
-    return False
+    if not _poll_until(lambda: sd.in_flight_count() == 0, timeout_s):
+        logger.warning("%s: stages still in flight after kill grace", sd.cid)

@@ -88,10 +88,6 @@ RECOVERY_AMBIGUOUS_RC = 125
 
 
 class StagePipelineState(str, Enum):
-    REQ_PENDING = "req_pending"
-    CLAIMED = "claimed"
-    PREPARED = "prepared"
-    EXECUTING = "executing"
     COMPLETED = "completed"
     FAILED = "failed"
 

@@ -535,7 +535,6 @@ class StateDir:
         the offset after the new line.
         """
         line = f"{req.request_id} {req.nonce.hex()}\n".encode()
-        created = not self.accepts_path.exists()  # an instance created before the journal
         with open(self.accepts_path, "ab") as f:
             size = f.tell()
             if size < pos:
@@ -545,8 +544,6 @@ class StateDir:
             f.write(line)
             f.flush()
             os.fsync(f.fileno())
-        if created:
-            fsutil.fsync_dir(self.path)
         return pos + len(line)
 
     # -- stage identifiers --------------------------------------------------
@@ -717,12 +714,6 @@ class StateDir:
                 out.append(self.read_stage_record(eid))
         return out
 
-    def find_stage_record(self, request_id: str) -> Optional[StageRecord]:
-        for rec in self.stage_records():
-            if rec.request_id == request_id:
-                return rec
-        return None
-
     def spool_response(self, request_id: str, envelope: dict) -> Path:
         """Write-once response file; the visible commit point for the anchor."""
         path = self.response_path(request_id)
@@ -736,13 +727,12 @@ class StateDir:
 
     # -- termination events --------------------------------------------------
 
-    def append_event(self, event: TerminationEvent, *, once_per_origin: bool = True) -> bool:
-        """Journal a termination event; by default deduplicated by origin
-        so concurrent finalizers cannot double-record one observation."""
+    def append_event(self, event: TerminationEvent) -> bool:
+        """Journal a termination event, deduplicated by non-empty origin so
+        concurrent finalizers cannot double-record one observation."""
         with self.events_lock():
-            if once_per_origin and event.origin:
-                if any(e.origin == event.origin for e in self._load_events_unlocked()):
-                    return False
+            if event.origin and any(e.origin == event.origin for e in self._load_events_unlocked()):
+                return False
             fsutil.append_line(self.events_path, fsutil.json_canonical(event_to_json(event)))
             return True
 

@@ -329,3 +329,13 @@ class EntrypointModel:
             self.anchor_alive = False
         self.state = nxt
         return code
+
+
+# ---------------------------------------------------------------------------
+# Artifact lookups
+# ---------------------------------------------------------------------------
+
+
+def find_stage_record(sd, request_id: str):
+    """The recorded stage (meta.json) that answers request_id, or None."""
+    return next((rec for rec in sd.stage_records() if rec.request_id == request_id), None)

@@ -25,18 +25,19 @@ from c4run.bundle import write_sleep_anchor_bundle
 from c4run.errors import C4Error
 from c4run.lifecycle import (
     CompositeStateRecord,
+    EventSource,
     LifecycleState as L,
     OciStatus,
     TerminationEvent,
+    TerminationReason,
     TrustFlag,
     evaluate_readiness,
-    legal_event_classes,
     project_oci,
     reduce_termination,
 )
 from c4run.protocol import SessionState, build_request, validate_request
 from c4run.statedir import StateDir
-from oracles import EntrypointModel, oracle_reduce
+from oracles import LEGAL_CLASSES, EntrypointModel, oracle_reduce
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -203,7 +204,7 @@ def test_criterion_4_multicall_conformance(tmp_path):
 
 
 def test_criterion_5_termination_oracle_equivalence():
-    classes = list(legal_event_classes())
+    classes = [(EventSource(src), TerminationReason(reason)) for src, reason in LEGAL_CLASSES]
     cases = 0
     mismatches = 0
     for size in (1, 2, 3):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from c4run.backends import create_adapter, fault_injection_controls, load_receipts
+from c4run.backends import create_adapter, load_receipts
 from c4run.backends.base import CANCELLED_RC, TIMEOUT_RC
 from c4run.backends.localexec import LocalExecAdapter
 from c4run.backends.sim import (
@@ -105,17 +105,17 @@ def test_unknown_stage_and_handle_lifecycle(sim):
 
 def test_fault_injection_policy():
     adapter = SimulatorAdapter(TABLE)
-    fault_injection_controls(adapter, FaultPolicy(fail_prepare_after=1))
+    adapter.fault_policy = FaultPolicy(fail_prepare_after=1)
     adapter.prepare("c1", "eid-0001", "hello")
     with pytest.raises(PrepareFailed):
         adapter.prepare("c1", "eid-0002", "hello")
 
-    adapter.set_fault_policy(FaultPolicy(rc_override=42))
+    adapter.fault_policy = FaultPolicy(rc_override=42)
     handle = adapter.prepare("c1", "eid-0003", "hello")
     assert adapter.execute(handle, _req()).rc == 42
     adapter.destroy(handle)
 
-    adapter.set_fault_policy(FaultPolicy(execute_latency=(0.0, 0.0)))
+    adapter.fault_policy = FaultPolicy(execute_latency=(0.0, 0.0))
     handle = adapter.prepare("c1", "eid-0004", "hello")
     t0 = time.monotonic()
     adapter.execute(handle, _req())
@@ -125,7 +125,7 @@ def test_fault_injection_policy():
 
 def test_latency_under_concurrency_all_complete():
     adapter = SimulatorAdapter(TABLE)
-    adapter.set_fault_policy(FaultPolicy(execute_latency=(0.01, 0.05)))
+    adapter.fault_policy = FaultPolicy(execute_latency=(0.01, 0.05))
     results = []
     lock = threading.Lock()
 

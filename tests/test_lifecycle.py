@@ -22,7 +22,6 @@ from c4run.lifecycle import (
     evaluate_readiness,
     exit_code_for,
     is_done,
-    legal_event_classes,
     project_oci,
     reduce_termination,
     validate_transition,
@@ -127,7 +126,7 @@ def test_reduce_tiebreaks():
 
 
 def _all_event_lists(max_size):
-    classes = list(legal_event_classes())
+    classes = [(S(src), R(reason)) for src, reason in LEGAL_CLASSES]
     for size in range(1, max_size + 1):
         for combo in itertools.combinations_with_replacement(classes, size):
             yield [
@@ -137,7 +136,13 @@ def _all_event_lists(max_size):
 
 
 def test_reduce_matches_oracle_exhaustively_up_to_pairs():
-    assert sorted((s.value, r.value) for s, r in legal_event_classes()) == LEGAL_CLASSES
+    # The oracle's classes are exactly the constructible (src, reason) pairs.
+    for src, reason in itertools.product(S, R):
+        if (src.value, reason.value) in LEGAL_CLASSES:
+            TerminationEvent(src=src, code=5, reason=reason)
+        else:
+            with pytest.raises(ContractViolation):
+                TerminationEvent(src=src, code=5, reason=reason)
     for events in _all_event_lists(2):
         tuples = [(e.src.value, e.code, e.reason.value, e.observed_at) for e in events]
         expected_code, expected_best = oracle_reduce(tuples)

@@ -25,6 +25,7 @@ from c4run.protocol import (
     validate_request,
     verify_response,
 )
+from c4run.statedir import StateDir
 from oracles import oracle_mac, oracle_request_bytes, oracle_response_bytes
 
 SK = bytes(range(32))
@@ -62,6 +63,18 @@ def golden_request(mac: bytes = b"") -> StageRequest:
     )
 
 
+def golden_response() -> StageResponse:
+    return StageResponse(
+        request_id="1-0-deadbeef",
+        eid="eid-0001",
+        rc=0,
+        status=ResponseStatus.COMPLETED,
+        output=b"hello from eid-0001\n",
+        reject_reason=None,
+        mac=b"",
+    )
+
+
 def fresh_session(cid="c4-golden", epoch=1) -> SessionState:
     return SessionState(cid=cid, epoch=epoch, sk=SK)
 
@@ -80,15 +93,7 @@ def test_request_golden_vector():
 
 
 def test_response_golden_vector():
-    resp = StageResponse(
-        request_id="1-0-deadbeef",
-        eid="eid-0001",
-        rc=0,
-        status=ResponseStatus.COMPLETED,
-        output=b"hello from eid-0001\n",
-        reject_reason=None,
-        mac=b"",
-    )
+    resp = golden_response()
     canonical = response_canonical_bytes(resp)
     assert canonical == bytes.fromhex(RESP_CANONICAL_HEX)
     assert response_mac(SK, resp) == bytes.fromhex(RESP_MAC_HEX)
@@ -178,26 +183,39 @@ def test_epoch_isolation():
     assert validate_request(req, session, "c4-golden") is RejectReason.BIND_EPOCH_MISMATCH
 
 
-def test_request_id_is_bound_to_its_epoch_and_seq():
-    # The watermark is rebuilt from the accepted ids on every reload: a
-    # seq-5 request accepted under id 1-0-... would pull it back to 1 and let
-    # a second seq-5 request through, both naming stage eid-1-5.
-    session = fresh_session()
+def _journalled_instance(root, bundle) -> StateDir:
+    sd = StateDir(root, "c4-journal")
+    sd.init(bundle, "seed")
+    return sd
+
+
+def _journal(sd: StateDir, req: StageRequest) -> None:
+    sd.append_accept(sd.read_accepts()[1], req)
+
+
+def test_request_id_is_bound_to_its_epoch_and_seq(root, sim_bundle):
+    # The watermark is rebuilt from the journalled ids on every reload: a
+    # seq-5 request accepted under id <epoch>-0-... would pull it back to 1
+    # and let a second seq-5 request through, both naming one stage.
+    sd = _journalled_instance(root, sim_bundle)
+    session = sd.load_session()
     session.next_seq = 5
     honest = build_request(session, "hello", b"p")
-    forged = dataclasses.replace(honest, request_id="1-0-aaaa", response_path="responses/1-0-aaaa.resp", mac=b"")
+    rid = f"{honest.epoch}-0-aaaa"
+    forged = dataclasses.replace(honest, request_id=rid, response_path=f"responses/{rid}.resp", mac=b"")
     forged = dataclasses.replace(forged, mac=request_mac(session.sk, forged))
-    assert validate_request(forged, session, "c4-golden") is RejectReason.BIND_REQUEST_ID_MISMATCH
-    reloaded = SessionState.from_json(session.to_json())
-    assert validate_request(honest, reloaded, "c4-golden") is None
-    commit_acceptance(reloaded, honest)
-    again = SessionState.from_json(reloaded.to_json())
+    assert validate_request(forged, session, sd.cid) is RejectReason.BIND_REQUEST_ID_MISMATCH
+    reloaded = sd.load_session()
+    assert validate_request(honest, reloaded, sd.cid) is None
+    _journal(sd, honest)
+    again = sd.load_session()
     assert again.next_expected_accept_seq == 6
+    rid = f"{honest.epoch}-5-bbbb"
     second = dataclasses.replace(
-        honest, request_id="1-5-bbbb", response_path="responses/1-5-bbbb.resp", nonce=bytes(16), mac=b""
+        honest, request_id=rid, response_path=f"responses/{rid}.resp", nonce=bytes(16), mac=b""
     )
     second = dataclasses.replace(second, mac=request_mac(again.sk, second))
-    assert validate_request(second, again, "c4-golden") is RejectReason.ORDER_STALE_SEQ
+    assert validate_request(second, again, sd.cid) is RejectReason.ORDER_STALE_SEQ
 
 
 @pytest.mark.parametrize("suffix", ["a b", "a\nb", "ab\t", "a\u2028b"])
@@ -243,12 +261,14 @@ def test_ordering_watermark_allows_gaps_rejects_stale():
     assert validate_request(r1, session, "c4-golden") is RejectReason.ORDER_STALE_SEQ
 
 
-def test_watermark_recovers_from_persisted_ids():
-    session = fresh_session()
+def test_watermark_recovers_from_persisted_ids(root, sim_bundle):
+    sd = _journalled_instance(root, sim_bundle)
+    session = sd.load_session()
     for _ in range(3):
         req = build_request(session, "hello", b"p")
+        _journal(sd, req)
         commit_acceptance(session, req)
-    reloaded = SessionState.from_json(session.to_json())
+    reloaded = sd.load_session()
     assert reloaded.next_expected_accept_seq == 3
     session.advance_epoch()
     assert session.next_expected_accept_seq == 0
@@ -341,6 +361,60 @@ def test_envelope_strictness():
     bad_type = dict(env, seq="0")
     with pytest.raises(ValueError):
         request_from_envelope(bad_type)
+
+
+# Any JSON value a host could put in one envelope field: wrong types, ints
+# past u64/i64 or negative, text that is not hex or base64, lone surrogates.
+# One flat choice, so that each kind is drawn about one time in ten.
+_JSON_SCALARS = [
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(),
+    st.sampled_from([-1, -(2**63) - 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**70]),
+    st.text(),
+    st.text(alphabet="0123456789abcdefABCDEF=+/ g"),
+    st.builds("{}\ud800{}".format, st.text(max_size=4), st.text(max_size=4)),
+]
+_JSON_VALUES = st.one_of(
+    *_JSON_SCALARS,
+    st.lists(st.one_of(_JSON_SCALARS), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.one_of(_JSON_SCALARS), max_size=3),
+)
+
+
+@pytest.mark.parametrize("key", sorted(request_to_envelope(golden_request())))
+@settings(max_examples=100, deadline=None)
+@given(value=_JSON_VALUES)
+def test_any_request_envelope_field_value_yields_a_verdict_or_value_error(key, value):
+    session = fresh_session()
+    env = dict(request_to_envelope(build_request(session, "hello", b"p")), **{key: value})
+    if key in ("epoch", "seq"):
+        # Keep the id bound to the mutated (epoch, seq), so validation
+        # reaches the MAC over them.
+        rid = f"{env['epoch']}-{env['seq']}-zz"
+        env.update(request_id=rid, response_path=f"responses/{rid}.resp")
+    try:
+        req = request_from_envelope(env)
+    except ValueError:
+        return
+    verdict = validate_request(req, session, "c4-golden")
+    assert verdict is None or isinstance(verdict, RejectReason)
+
+
+@pytest.mark.parametrize("key", sorted(response_to_envelope(golden_response())))
+@settings(max_examples=100, deadline=None)
+@given(value=_JSON_VALUES)
+def test_any_response_envelope_field_value_yields_a_bool_or_value_error(key, value):
+    session = fresh_session()
+    resp = build_response(session, "1-0-deadbeef", rc=0, status=ResponseStatus.COMPLETED, eid="eid-1-0", output=b"x")
+    env = dict(response_to_envelope(resp), **{key: value})
+    try:
+        parsed = response_from_envelope(env)
+    except ValueError:
+        return
+    # Outstanding under whatever id it names, so the check reaches the MAC.
+    assert isinstance(verify_response(parsed, session, {parsed.request_id}), bool)
 
 
 def test_session_requires_full_key():

@@ -11,6 +11,7 @@ from c4run.fsutil import read_json
 from c4run.protocol import ResponseStatus, build_request, request_to_envelope, response_from_envelope
 from c4run.serve import RECOVERY_AMBIGUOUS_RC, ServeLoop, claim_next
 from c4run.statedir import Acceptance, StateDir
+from oracles import find_stage_record
 
 
 def _spool_one(sd: StateDir, stage="hello"):
@@ -100,7 +101,7 @@ def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_
     actions = ServeLoop(sd).recover()
     assert actions == [{"request_id": req.request_id, "action": "resumed_completed"}]
     assert sd.list_eids() == [eid]
-    assert sd.find_stage_record(req.request_id).eid == eid
+    assert find_stage_record(sd, req.request_id).eid == eid
     assert _executions(sd, req.request_id) == 1
 
 
@@ -112,7 +113,7 @@ def test_crash_in_execution_window_fails_safely_never_reexecutes(running_instanc
     actions = ServeLoop(sd).recover()
     assert actions == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
     assert _executions(sd, req.request_id) == 0
-    record = sd.find_stage_record(req.request_id)
+    record = find_stage_record(sd, req.request_id)
     assert record.status == "failed"
     assert record.rc == RECOVERY_AMBIGUOUS_RC
     assert record.failure_reason == "recovery_ambiguous"
@@ -130,7 +131,7 @@ def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
     _crash_at(sd, "execute:pre-backend")
 
     assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
-    record = sd.find_stage_record(req.request_id)
+    record = find_stage_record(sd, req.request_id)
     assert record.eid == f"eid-{req.epoch}-{req.seq}" and req.seq == 2
     assert (record.session_epoch, record.session_seq) == (req.epoch, req.seq)
     ipr = audit_artifacts(sd)
@@ -141,7 +142,7 @@ def test_crash_after_meta_replays_response_byte_identically(running_instance):
     sd = running_instance
     req = _spool_one(sd)
     _crash_at(sd, "response:pre-write")
-    record = sd.find_stage_record(req.request_id)
+    record = find_stage_record(sd, req.request_id)
     assert record is not None  # executed and recorded, response missing
 
     actions = ServeLoop(sd).recover()

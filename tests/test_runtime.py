@@ -22,7 +22,7 @@ from c4run.errors import (
 from c4run.lifecycle import LifecycleState as L
 from c4run.serve import ServeLoop
 from c4run.statedir import StageRecord, StateDir
-from oracles import oracle_reduce
+from oracles import find_stage_record, oracle_reduce
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -279,7 +279,7 @@ def test_kill_with_stage_executing_cancels_cleanly(root, tmp_path):
     killed = runtime.cmd_kill(root, cid, grace_s=5)
     t.join(timeout=10)
     assert killed["state"] == "stopped" and killed["exit_code"] == 0
-    record = sd.find_stage_record(req.request_id)
+    record = find_stage_record(sd, req.request_id)
     assert record.status == "failed" and record.failure_reason == "cancelled"
     assert sd.response_path(req.request_id).exists()
     runtime.cmd_delete(root, cid)

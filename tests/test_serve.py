@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from c4run import runtime
+from c4run.anchor import run_workload
 from c4run.backends import load_receipts
 from c4run.bench import audit_artifacts
 from c4run.fsutil import read_json
@@ -16,14 +17,16 @@ from c4run.lifecycle import LifecycleState as L
 from c4run.protocol import (
     ResponseStatus,
     build_request,
-    commit_acceptance,
+    build_response,
     request_mac,
     request_to_envelope,
     response_from_envelope,
+    response_to_envelope,
     verify_response,
 )
 from c4run.serve import ServeLoop, StagePipelineState, claim_next
 from c4run.statedir import StateDir
+from oracles import find_stage_record
 
 
 def _spool(sd: StateDir, stage="hello", payload=b"p", n=1):
@@ -238,24 +241,64 @@ def test_serve_cost_does_not_grow_with_the_epoch(running_instance, monkeypatch):
     assert calls["load_session"] <= 1 and calls["save_session"] == 0
 
 
-def test_session_from_before_the_journal_keeps_its_accepted_requests(running_instance):
-    # An older session.json lists the epoch's accepted requests and there is
-    # no accepts.log: the list still counts, and the first accept makes it.
-    sd = running_instance
-    session = sd.load_session()
-    old = build_request(session, "hello", b"p")
-    commit_acceptance(session, old)
-    sd.session_path.write_text(json.dumps(session.to_json()))
-    sd.accepts_path.unlink()
-    fresh = build_request(session, "hello", b"p")
-    for req in (old, fresh):
-        sd.spool_request(request_to_envelope(req), req.request_id)
+def _serve_poison_then_honest(sd: StateDir, request_id: str, text: str):
+    """Spool a host-written request file, then an honest request, and serve both."""
+    sd.request_path(request_id).write_text(text)
+    (honest,) = _spool(sd)
+    summary = ServeLoop(sd, workers=1).run(mode="until-idle")
+    assert (summary.completed, summary.rejected) == (1, 1)
+    assert _response(sd, request_id).reject_reason.value == "auth_mac_invalid"
+    assert _response(sd, honest.request_id).status is ResponseStatus.COMPLETED
+    assert list(sd.claimed_dir.iterdir()) == []
 
-    loop = ServeLoop(sd, workers=1)
-    assert loop.process_next().reject_reason == "fresh_replayed_id"
-    assert loop.process_next().terminal is StagePipelineState.COMPLETED
-    assert sd.accepts_path.read_bytes() == f"{fresh.request_id} {fresh.nonce.hex()}\n".encode()
-    assert sd.load_session().seen_request_ids == {old.request_id, fresh.request_id}
+
+def test_request_whose_stage_is_a_lone_surrogate_is_rejected_and_serve_goes_on(running_instance):
+    # The canonical encoding cannot carry "\ud800": it used to raise out of
+    # validate_request's MAC check and leave the claim behind.
+    sd = running_instance
+    req = build_request(sd.load_session(), "hello", b"p")
+    envelope = dict(request_to_envelope(req), stage="\ud800")
+    _serve_poison_then_honest(sd, req.request_id, json.dumps(envelope))
+
+
+def test_request_whose_seq_overflows_u64_is_rejected_and_serve_goes_on(running_instance):
+    # An id bound to seq 2**64 passes the bind checks; packing that seq for
+    # the MAC used to raise struct.error out of serve.
+    sd = running_instance
+    req = build_request(sd.load_session(), "hello", b"p")
+    rid = f"{req.epoch}-{2**64}-zz"
+    envelope = dict(request_to_envelope(req), seq=2**64, request_id=rid, response_path=f"responses/{rid}.resp")
+    _serve_poison_then_honest(sd, rid, json.dumps(envelope))
+
+
+def test_request_nested_too_deep_to_parse_is_rejected_and_serve_goes_on(running_instance):
+    # json.loads raises RecursionError, not ValueError, on deep nesting.
+    _serve_poison_then_honest(running_instance, "1-0-deep", "[" * 100_000)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [{"request_id": 7}, {"eid": 7}, {"rc": 2**70}, {"rc": "x"}, None],
+    ids=["int-request-id", "int-eid", "rc-past-i64", "rc-not-an-int", "not-json"],
+)
+def test_anchor_counts_a_tampered_response_as_failed_verification(root, sim_bundle, monkeypatch, capsys, tamper):
+    sd = StateDir(root, "t-anchor")
+    sd.init(sim_bundle)
+    session = sd.load_session()
+    spool = sd.spool_request
+
+    def spool_then_answer(envelope, request_id):
+        path = spool(envelope, request_id)
+        if tamper is None:
+            sd.response_path(request_id).write_text("{")
+        else:
+            resp = build_response(session, request_id, rc=0, status=ResponseStatus.COMPLETED, eid="eid-0-0")
+            sd.spool_response(request_id, dict(response_to_envelope(resp), **tamper))
+        return path
+
+    monkeypatch.setattr(sd, "spool_request", spool_then_answer)
+    assert run_workload(sd, session, {"stages": ["hello"], "response_timeout_s": 5}) == 1
+    assert "response failed verification" in capsys.readouterr().err
 
 
 def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):
@@ -281,7 +324,7 @@ def test_idle_serve_wakes_when_a_request_is_spooled(running_instance):
     t.join(timeout=15)
     assert not t.is_alive()
     assert out["summary"].completed == 1
-    claimed_at = sd.find_stage_record(req.request_id).timings["claimed_at"]
+    claimed_at = find_stage_record(sd, req.request_id).timings["claimed_at"]
     assert claimed_at - spooled_at < 0.5  # not the rest of a 2 s poll
 
 
@@ -359,7 +402,7 @@ def test_unknown_stage_fails_without_execution(running_instance):
     loop = ServeLoop(sd, workers=1, fail_fast=False)
     result = loop.process_next()
     assert result.terminal is StagePipelineState.FAILED and result.rc == 127
-    record = sd.find_stage_record(req.request_id)
+    record = find_stage_record(sd, req.request_id)
     assert record.status == "failed" and record.evidence_type == "none"
     assert load_receipts(sd.receipts_path) == []
 
@@ -429,7 +472,7 @@ def test_kill_marker_cancels_in_flight_stage(running_instance):
     atomic_write_json(sd.kill_marker_path, {"signal": 15, "ts": time.time()})
     t.join(timeout=10)
     assert done["result"].terminal is StagePipelineState.FAILED
-    record = sd.find_stage_record(req.request_id)
+    record = find_stage_record(sd, req.request_id)
     assert record.failure_reason == "cancelled"
     assert record.status == "failed"
     assert sd.has_response(req.request_id)

@@ -15,6 +15,7 @@ from c4run.errors import (
 )
 from c4run.lifecycle import EventSource, LifecycleState as L, TerminationEvent, TerminationReason
 from c4run.statedir import StageRecord, StateDir
+from oracles import find_stage_record
 
 
 def _init(root, bundle, cid="c1") -> StateDir:
@@ -191,8 +192,8 @@ def test_write_stage_record_once_and_reads_back(root, sim_bundle):
         sd.write_stage_record(eid, _stage_record(sd, eid), b"again")
     with pytest.raises(ContractViolation):
         sd.write_stage_record("eid-9999", _stage_record(sd, "eid-9999"), b"")
-    assert sd.find_stage_record("r1").eid == eid
-    assert sd.find_stage_record("missing") is None
+    assert find_stage_record(sd, "r1").eid == eid
+    assert find_stage_record(sd, "missing") is None
 
 
 def test_stage_record_requires_terminal_status(root, sim_bundle):
