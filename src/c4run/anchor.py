@@ -28,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import CorruptStateError
+from .errors import CorruptStateError, exit_process
 from .fsutil import read_json
 from .protocol import (
     ResponseStatus,
@@ -123,4 +123,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_process(main())

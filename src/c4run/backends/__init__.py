@@ -3,7 +3,8 @@
 Adapters confine everything backend-specific behind prepare/execute/destroy.
 Hardware TEE rows (SGX/TDX/OP-TEE/Keystone) are documentation targets only;
 the shipped adapters are the deterministic simulator and a local-process
-executor.
+executor. create_adapter imports only the adapter it builds, so nothing
+that merely names this package loads the simulator's cryptography.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import UsageError
-from .base import AdapterBase, BackendHandle, StageEvidence, StageOutcome, load_receipts
-from .localexec import LocalExecAdapter
-from .sim import FaultPolicy, SimulatorAdapter
+from .base import AdapterBase, load_receipts
 
 BACKEND_IDS = ("sim", "localexec")
 
@@ -28,25 +27,18 @@ def create_adapter(
     receipts_path: Optional[Path] = None,
 ) -> AdapterBase:
     if backend_id == "sim":
+        from .sim import SimulatorAdapter
+
         return SimulatorAdapter(stage_table, receipts_path=receipts_path)
     if backend_id == "localexec":
         if rootfs is None or work_root is None:
             raise UsageError("localexec requires a rootfs and a work root")
+        from .localexec import LocalExecAdapter
+
         return LocalExecAdapter(
             stage_table, rootfs=rootfs, work_root=work_root, receipts_path=receipts_path
         )
     raise UsageError(f"unknown backend {backend_id!r} (known: {', '.join(BACKEND_IDS)})")
 
 
-__all__ = [
-    "AdapterBase",
-    "BackendHandle",
-    "StageEvidence",
-    "StageOutcome",
-    "FaultPolicy",
-    "SimulatorAdapter",
-    "LocalExecAdapter",
-    "create_adapter",
-    "load_receipts",
-    "BACKEND_IDS",
-]
+__all__ = ["AdapterBase", "create_adapter", "load_receipts", "BACKEND_IDS"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import fcntl
 import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -21,11 +20,6 @@ from ..fsutil import json_canonical
 from ..protocol import StageRequest
 
 CancelCheck = Callable[[], bool]
-
-#: rc reported when a stage exceeded its execution timeout.
-TIMEOUT_RC = 124
-#: rc reported when a stage was cancelled (instance killed mid-flight).
-CANCELLED_RC = 130
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class AdapterBase:
     def prepare(self, cid: str, eid: str, stage: str) -> BackendHandle:
         context = self._prepare_context(cid, eid, stage)
         handle = BackendHandle(
-            token=uuid.uuid4().hex,
+            token=os.urandom(16).hex(),
             cid=cid,
             eid=eid,
             stage=stage,

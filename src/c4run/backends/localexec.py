@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..errors import PrepareFailed, StageNotFound
-from .base import CANCELLED_RC, TIMEOUT_RC, AdapterBase, CancelCheck, StageEvidence, StageOutcome
+from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
+from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
 
 logger = logging.getLogger(__name__)
 

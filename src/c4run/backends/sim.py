@@ -26,9 +26,9 @@ from typing import Optional
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from ..errors import PrepareFailed, StageNotFound
+from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
 from ..fsutil import json_canonical
-from .base import CANCELLED_RC, TIMEOUT_RC, AdapterBase, CancelCheck, StageEvidence, StageOutcome
+from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
 
 logger = logging.getLogger(__name__)
 

@@ -147,7 +147,11 @@ def _audit_journal(sd: StateDir, session: SessionState, result: AuditResult) -> 
     folds cannot show either. Returns the current epoch's accepted ids."""
     accepted = set()
     journalled = set()
-    lines, _ = sd.read_accepts()
+    try:
+        lines, _ = sd.read_accepts()
+    except CorruptStateError as exc:
+        result.flag(str(exc))
+        return accepted
     for n, line in enumerate(lines, 1):
         try:
             acc = Acceptance.parse(line)

@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 usage, 2 not-found, 3 illegal-state, 4 timeout,
 5 internal. The state-directory root comes from --statedir-root or the
 C4RUN_STATEDIR_ROOT environment variable.
+
+Each verb is a short-lived process, so this module imports only what the
+lifecycle verbs run; serve and recover load the pipeline and its backend
+when chosen. Run as a program (``python -m c4run.cli`` or the ``c4run``
+script), the process ends through errors.exit_process once main() has
+returned.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ import sys
 from pathlib import Path
 
 from . import runtime
-from .errors import C4Error, EXIT_USAGE, UsageError
-from .serve import ServeLoop
+from .errors import C4Error, EXIT_USAGE, UsageError, exit_process
 from .statedir import StateDir
 
 DEFAULT_ROOT_ENV = "C4RUN_STATEDIR_ROOT"
@@ -87,6 +92,8 @@ def _root(args: argparse.Namespace) -> Path:
 
 
 def _serve(args: argparse.Namespace, root: Path) -> int:
+    from .serve import ServeLoop
+
     sd = StateDir(root, args.cid)
     stopping = {"flag": False}
 
@@ -152,6 +159,8 @@ def main(argv=None) -> int:
         elif args.command == "serve":
             return _serve(args, root)
         elif args.command == "recover":
+            from .serve import ServeLoop
+
             sd = StateDir(root, args.cid)
             loop = ServeLoop(sd)
             out = {"cid": args.cid, "recovered": loop.recover()}
@@ -165,8 +174,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    exit_process(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

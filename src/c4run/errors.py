@@ -1,15 +1,41 @@
-"""Exception taxonomy shared by every runtime layer.
+"""Exception taxonomy shared by every runtime layer, and how a process ends.
 
 Each error class maps to one CLI exit code so entrypoint behavior stays
 testable: 0 success, 1 usage, 2 not-found, 3 illegal-state, 4 timeout,
-5 internal.
+5 internal. The stage rc values that every layer agrees on live here too,
+so the lifecycle verbs read them without importing a backend.
 """
+
+import logging
+import os
+import sys
+from typing import NoReturn
 
 EXIT_USAGE = 1
 EXIT_NOT_FOUND = 2
 EXIT_ILLEGAL_STATE = 3
 EXIT_TIMEOUT = 4
 EXIT_INTERNAL = 5
+
+#: rc reported when a stage exceeded its execution timeout.
+TIMEOUT_RC = 124
+#: rc reported when a stage was cancelled (instance killed mid-flight).
+CANCELLED_RC = 130
+
+
+def exit_process(rc: int) -> NoReturn:
+    """End a process entry point with rc once its main() has returned.
+
+    Flushes stdout and stderr and shuts logging down, then leaves by
+    os._exit, so a short-lived process skips interpreter teardown: module
+    teardown, finalizers and atexit handlers do not run. Only for the
+    ``__main__`` blocks and the console script; code that calls main()
+    in-process keeps the normal exit.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    logging.shutdown()
+    os._exit(rc)
 
 
 class C4Error(Exception):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
@@ -33,7 +32,7 @@ def fsync_dir(path: Path) -> None:
 
 
 def _write_tmp(path: Path, data: bytes) -> Path:
-    tmp = path.parent / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     with open(tmp, "wb") as f:
         f.write(data)
         f.flush()

@@ -28,9 +28,9 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
-from .backends.base import TIMEOUT_RC
 from .bundle import load_bundle
 from .errors import (
+    TIMEOUT_RC,
     AbsentRecordError,
     C4Error,
     CorruptStateError,
@@ -56,7 +56,6 @@ from .lifecycle import (
     reduce_termination,
 )
 from .statedir import StateDir
-from .supervise import READY, launch
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +175,8 @@ def cmd_start(root: Path, cid: str) -> dict:
             os.unlink(stale)
         except FileNotFoundError:
             pass
+
+    from .supervise import READY, launch  # loads subprocess, which only start needs
 
     report = launch(sd)
     if report != READY:

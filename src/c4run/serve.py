@@ -21,8 +21,10 @@ instances on one instance directory:
   Recovery uses the ladder (response? meta? marker? journalled?) to requeue,
   resume, replay the response, or fail a claim as ambiguous — never running
   the backend twice for one accepted request.
-- An idle loop waits on the wake FIFO that spool_request rings, for at most
-  poll_interval: a missing or lost ring only falls back to polling.
+- An idle loop waits on the wake FIFO for at most poll_interval.
+  spool_request rings it for a new request, and the anchor supervisor once
+  anchor_exit.json is durable, so --until-done stops as soon as the anchor
+  has exited. A missing or lost ring only falls back to polling.
 
 Fail-fast policy: a stage that reports a nonzero rc emits a TEE-error
 termination event and drives the instance record to Failed. That is the
@@ -46,10 +48,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .backends import AdapterBase, create_adapter
-from .backends.base import CANCELLED_RC, TIMEOUT_RC
 from .bundle import CompositeBundle, load_bundle
 from .crashpoints import crash_if
 from .errors import (
+    CANCELLED_RC,
+    TIMEOUT_RC,
     AbsentRecordError,
     C4Error,
     CorruptStateError,

@@ -22,8 +22,9 @@ Layout under ``<root>/<cid>/``:
                           runs; start returns only after it is durable
     anchor_exit.json      the anchor's exit, written by the supervisor that
                           reaped it (never for an anchor that failed to spawn)
-    wake                  FIFO doorbell: spool_request rings it, serve waits
-                          on it (made by serve, not by create)
+    wake                  FIFO doorbell: spool_request and the anchor
+                          supervisor ring it, serve waits on it (made by
+                          serve, not by create)
     *.lock                advisory lock files, one per mutable object
 
 Everything here is *coordination* state: nothing in this module derives a
@@ -48,10 +49,12 @@ protocol layer). What this module does guarantee:
   only increments it.
 - Journal tails: accepts.log is read up to its last newline. A line with
   no newline is the torn tail of an append that crashed before its fsync;
-  that acceptance never committed, and the next append cuts it off.
+  that acceptance never committed, and the next append cuts it off. A
+  missing journal raises, as a corrupt state.json does.
 - Write-once artifacts: responses and stage records cannot be overwritten.
-- The wake FIFO carries no state: the spool files are the only truth, so a
-  lost or missing ring delays serve by one poll interval and nothing else.
+- The wake FIFO carries no state: the spool files and anchor_exit.json are
+  the only truth, so a lost or missing ring delays serve by one poll
+  interval and nothing else.
 
 A corrupt (present but unparseable) state.json raises, and is never treated
 as absent: conflating the two would let anyone reset the lifecycle by
@@ -503,13 +506,18 @@ class StateDir:
 
     def read_accepts(self, pos: int = 0) -> tuple[list[bytes], int]:
         """The complete lines of accepts.log past byte offset pos (without
-        their newlines), and the offset just after the last of them."""
+        their newlines), and the offset just after the last of them.
+
+        A missing journal is corruption, not an empty epoch: init creates
+        it before the fsynced completion marker, and reading it as empty
+        would let serve accept and run an accepted request again.
+        """
         try:
             with open(self.accepts_path, "rb") as f:
                 f.seek(pos)
                 data = f.read()
         except FileNotFoundError:
-            return [], pos
+            raise CorruptStateError(f"{self.cid}: accepts.log is missing") from None
         end = data.rfind(b"\n") + 1
         return data[:end].splitlines(), pos + end
 
@@ -563,16 +571,23 @@ class StateDir:
     # -- spool ------------------------------------------------------------
 
     def spool_request(self, envelope: dict, request_id: str) -> Path:
-        """Write the request durably, then ring the wake FIFO.
-
-        The ring is best effort: the request file is already in place, so a
-        lost ring costs serve one poll interval and never the request. It is
-        skipped when no FIFO exists (no serve has run yet), when no serve
-        has it open (ENXIO), when a wake is already pending (EAGAIN) and when
-        ``wake`` is not a FIFO at all.
-        """
+        """Write the request durably, then ring the wake FIFO."""
         path = self.request_path(request_id)
         fsutil.atomic_write_json(path, envelope)
+        self.ring_wake()
+        return path
+
+    def ring_wake(self) -> None:
+        """Wake an idle serve to look at the directory again.
+
+        Rung by spool_request once a request file is in place and by the
+        anchor supervisor once anchor_exit.json is. The ring is best
+        effort: the file it announces is already durable, so a lost ring
+        costs serve one poll interval and nothing else. It is skipped when
+        no FIFO exists (no serve has run yet), when no serve has it open
+        (ENXIO), when a wake is already pending (EAGAIN) and when ``wake``
+        is not a FIFO at all.
+        """
         try:
             fd = _open_fifo(self.wake_path, os.O_WRONLY)
             if fd is not None:
@@ -582,7 +597,6 @@ class StateDir:
                     os.close(fd)
         except OSError:
             pass  # ENOENT, ENXIO, EAGAIN, or EPIPE when the reader just left
-        return path
 
     @contextmanager
     def wake_fds(self) -> Iterator[list[int]]:

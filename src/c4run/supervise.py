@@ -6,8 +6,9 @@ already-imported interpreter instead (launch). The supervisor spawns the
 anchor from the bundle config (in its own session/process group so kill can
 signal the whole tree), redirects stdout+stderr to anchor.out, publishes
 the pid in anchor.pid, reports READY (or the spawn error) on start's pipe,
-waits, and durably records in anchor_exit.json the exit observation that
-wait()/kill() later reduce into the composite outcome.
+waits, durably records in anchor_exit.json the exit observation that
+wait()/kill() later reduce into the composite outcome, and rings the wake
+FIFO so that a serve --until-done waiting on it stops at once.
 """
 
 from __future__ import annotations
@@ -97,3 +98,4 @@ def supervise(sd: StateDir, ready_fd: int) -> None:
             "finished_at": time.time(),
         },
     )
+    sd.ring_wake()

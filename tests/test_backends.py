@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from c4run.backends import create_adapter, load_receipts
-from c4run.backends.base import CANCELLED_RC, TIMEOUT_RC
 from c4run.backends.localexec import LocalExecAdapter
 from c4run.backends.sim import (
     DEFAULT_AESGCM_KEY,
@@ -14,7 +13,7 @@ from c4run.backends.sim import (
     FaultPolicy,
     SimulatorAdapter,
 )
-from c4run.errors import BackendHandleInvalid, PrepareFailed, StageNotFound, UsageError
+from c4run.errors import CANCELLED_RC, TIMEOUT_RC, BackendHandleInvalid, PrepareFailed, StageNotFound, UsageError
 from c4run.protocol import SessionState, build_request
 from oracles import aes128_gcm_encrypt
 

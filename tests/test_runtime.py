@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from c4run import runtime
-from c4run.backends.base import TIMEOUT_RC
 from c4run.bundle import write_sleep_anchor_bundle, write_test_bundle
 from c4run.crashpoints import InjectedCrash, armed
 from c4run.errors import (
+    TIMEOUT_RC,
     AbsentRecordError,
     IllegalStateError,
     InternalError,
@@ -379,6 +379,52 @@ def test_cli_surface(root, sim_bundle, capsys):
     assert main([*base, "wait", "cli1"]) == 2
     assert main(["bogus-command"]) == 1
     assert main([*base, "create", "cli2"]) == 1  # missing --bundle
+
+
+def _cli_program(tmp_path: Path, root: Path, *args: str) -> tuple[int, str]:
+    """Run ``python -m c4run.cli`` with stdout on a file, so it is block
+    buffered; returns the exit code and everything written to the file."""
+    out_path = tmp_path / "cli.out"
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(out_path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "c4run.cli", "--statedir-root", str(root), *args],
+            env=env, stdout=out, stderr=subprocess.PIPE, timeout=60,
+        )
+    return proc.returncode, out_path.read_text()
+
+
+def test_cli_program_flushes_its_json_line_and_keeps_its_exit_codes(root, sleep_anchor_bundle, tmp_path):
+    cid = "fast-exit"
+    try:
+        rc, out = _cli_program(tmp_path, root, "create", cid, "--bundle", str(sleep_anchor_bundle))
+        assert (rc, json.loads(out)) == (0, {"cid": cid, "state": "prepared", "ver": 1})
+        rc, out = _cli_program(tmp_path, root, "start", cid)
+        assert rc == 0 and out.endswith("\n") and json.loads(out)["state"] == "running"
+        rc, out = _cli_program(tmp_path, root, "state", cid)
+        assert rc == 0 and json.loads(out)["status"] == "running"
+        assert _cli_program(tmp_path, root, "delete", cid) == (3, "")  # illegal: still running
+        assert _cli_program(tmp_path, root, "state", "ghost") == (2, "")  # absent
+        rc, out = _cli_program(tmp_path, root, "kill", cid)
+        assert (rc, json.loads(out)["state"]) == (0, "stopped")
+        rc, out = _cli_program(tmp_path, root, "delete", cid)
+        assert (rc, json.loads(out)) == (0, {"cid": cid, "deleted": True})
+    finally:
+        runtime.cmd_delete(root, cid, force=True)
+
+
+def test_reference_anchor_flushes_its_last_line_before_it_exits(root, sim_bundle, monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # anchor.out is then block buffered
+    runtime.cmd_create(root, "flush", sim_bundle)
+    runtime.cmd_start(root, "flush")
+    sd = StateDir(root, "flush")
+    try:
+        assert ServeLoop(sd, workers=2).run(mode="until-done").completed == 4
+        assert runtime.cmd_wait(root, "flush", timeout=30)["exit_code"] == 0
+        assert sd.anchor_out_path.read_text().splitlines()[-1] == "anchor: 4/4 stages completed"
+    finally:
+        runtime.cmd_delete(root, "flush", force=True)
 
 
 def test_env_var_statedir_root(root, sim_bundle, capsys, monkeypatch):

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ from c4run.anchor import run_workload
 from c4run.backends import load_receipts
 from c4run.bench import audit_artifacts
 from c4run.fsutil import read_json
-from c4run.errors import IllegalStateError
+from c4run.errors import CorruptStateError, IllegalStateError
 from c4run.lifecycle import LifecycleState as L
 from c4run.protocol import (
     ResponseStatus,
@@ -27,6 +30,8 @@ from c4run.protocol import (
 from c4run.serve import ServeLoop, StagePipelineState, claim_next
 from c4run.statedir import StateDir
 from oracles import find_stage_record
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _spool(sd: StateDir, stage="hello", payload=b"p", n=1):
@@ -341,6 +346,23 @@ def test_stale_ring_does_not_shorten_until_idle(running_instance):
     assert summary.elapsed_s >= 0.3  # one full interval between the two idle scans
 
 
+def test_until_done_stops_when_the_supervisor_rings_the_anchor_exit(root, sim_bundle):
+    # The reference anchor spools 4 requests and exits once all are answered;
+    # with a 5 s poll, only the supervisor's ring can end the wait that
+    # follows the last response.
+    runtime.cmd_create(root, "ring", sim_bundle)
+    runtime.cmd_start(root, "ring")
+    sd = StateDir(root, "ring")
+    try:
+        summary = ServeLoop(sd, workers=2, poll_interval=5.0).run(mode="until-done")
+        returned_at = time.time()
+        assert (summary.stop_reason, summary.completed) == ("done", 4)
+        assert returned_at - sd.read_anchor_exit()["finished_at"] < 1.0
+    finally:
+        runtime.cmd_kill(root, "ring", grace_s=3)
+        runtime.cmd_delete(root, "ring")
+
+
 def test_wake_that_is_not_a_fifo_leaves_serve_polling(running_instance):
     sd = running_instance
     sd.wake_path.write_bytes(b"")  # readable at once, forever, if serve waited on it
@@ -495,3 +517,25 @@ def test_tee_phase_active_while_stage_in_flight(running_instance):
     assert not t.is_alive()
     assert "active" in phases
     assert _annotations(sd)["tee_phase"] == "idle"
+
+
+def test_missing_journal_stops_serve_before_a_second_execution(running_instance):
+    # A host deletes accepts.log and a served request's response, then
+    # spools the same envelope again: serve must not read the missing
+    # journal as an empty epoch and run the request twice.
+    sd = running_instance
+    (req,) = _spool(sd)
+    assert ServeLoop(sd, workers=1).run(mode="until-idle").completed == 1
+    sd.accepts_path.unlink()
+    sd.response_path(req.request_id).unlink()
+    sd.spool_request(request_to_envelope(req), req.request_id)
+
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "c4run.cli", "--statedir-root", str(sd.path.parent),
+         "serve", sd.cid, "--until-idle", "--workers", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == CorruptStateError.exit_code, proc.stderr
+    assert "accepts.log is missing" in proc.stderr
+    assert [r["request_id"] for r in load_receipts(sd.receipts_path)] == [req.request_id]

@@ -1,9 +1,15 @@
 """Structural guards over the source tree itself."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "c4run"
@@ -42,3 +48,22 @@ def test_every_definition_in_src_is_used_outside_the_tests():
         if words[name] < 2
     )
     assert unused == []
+
+
+BACKEND_ADAPTERS = ("c4run.backends.sim", "c4run.backends.localexec")
+
+
+@pytest.mark.parametrize(
+    "module, banned",
+    [
+        ("c4run.cli", ("c4run.serve", *BACKEND_ADAPTERS, "cryptography", "concurrent.futures", "uuid")),
+        ("c4run.anchor", (*BACKEND_ADAPTERS, "cryptography")),
+    ],
+)
+def test_short_lived_processes_import_only_what_they_run(module, banned):
+    # The lifecycle verbs and the reference anchor start a fresh interpreter
+    # each time; serve alone needs the pipeline and a backend.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = f"import sys, json, {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert sorted(set(json.loads(proc.stdout)) & set(banned)) == []
