@@ -11,9 +11,8 @@ from __future__ import annotations
 import fcntl
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..errors import BackendHandleInvalid
 from ..fsutil import json_canonical
@@ -22,8 +21,7 @@ from ..protocol import StageRequest
 CancelCheck = Callable[[], bool]
 
 
-@dataclass(frozen=True)
-class BackendHandle:
+class BackendHandle(NamedTuple):
     """Opaque prepared execution context, valid from prepare until destroy."""
 
     token: str
@@ -34,16 +32,14 @@ class BackendHandle:
     created_at: float
 
 
-@dataclass(frozen=True)
-class StageEvidence:
+class StageEvidence(NamedTuple):
     tee_type: str
     evidence_type: str
     measurement_hash: str
-    extra: dict = field(default_factory=dict)
+    extra: dict  # no default: a NamedTuple default would be one shared dict
 
 
-@dataclass(frozen=True)
-class StageOutcome:
+class StageOutcome(NamedTuple):
     rc: int
     stdout: bytes
     evidence: StageEvidence

@@ -19,9 +19,8 @@ import resource
 import signal
 import subprocess
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
 from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
@@ -32,8 +31,7 @@ DEFAULT_TIMEOUT_S = 60.0
 _POLL_S = 0.02
 
 
-@dataclass
-class _ExecContext:
+class _ExecContext(NamedTuple):
     cid: str
     eid: str
     stage: str

@@ -21,13 +21,11 @@ import hashlib
 import logging
 import random
 import time
-from dataclasses import dataclass
-from typing import Optional
-
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from typing import NamedTuple, Optional
 
 from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
 from ..fsutil import json_canonical
+from ..record import Record
 from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
 
 logger = logging.getLogger(__name__)
@@ -41,18 +39,24 @@ _BEHAVIORS = ("hello", "aesgcm", "fail", "sleep")
 _TICK_S = 0.01
 
 
-@dataclass
-class FaultPolicy:
+class FaultPolicy(Record):
     """Harness-facing knobs, set as ``SimulatorAdapter.fault_policy``; inert
     by default."""
 
-    fail_prepare_after: Optional[int] = None  # prepares beyond this count fail
-    execute_latency: Optional[tuple[float, float]] = None  # uniform seconds
-    rc_override: Optional[int] = None
+    __slots__ = ("fail_prepare_after", "execute_latency", "rc_override")
+
+    def __init__(
+        self,
+        fail_prepare_after: Optional[int] = None,  # prepares beyond this count fail
+        execute_latency: Optional[tuple[float, float]] = None,  # uniform seconds
+        rc_override: Optional[int] = None,
+    ) -> None:
+        self.fail_prepare_after = fail_prepare_after
+        self.execute_latency = execute_latency
+        self.rc_override = rc_override
 
 
-@dataclass
-class _StageContext:
+class _StageContext(NamedTuple):
     cid: str
     eid: str
     stage: str
@@ -132,6 +136,10 @@ class SimulatorAdapter(AdapterBase):
 
     @staticmethod
     def _aesgcm_tag(spec: dict) -> bytes:
+        # Imported here: only this behaviour needs the cipher, and every
+        # sim serve would otherwise load it at start-up.
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
         size = int(spec.get("size_bytes", DEFAULT_AESGCM_SIZE))
         key = bytes.fromhex(spec["key_hex"]) if "key_hex" in spec else DEFAULT_AESGCM_KEY
         nonce = bytes.fromhex(spec["nonce_hex"]) if "nonce_hex" in spec else DEFAULT_AESGCM_NONCE

@@ -23,7 +23,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -414,11 +414,11 @@ def _flip_bit_in_field(req: StageRequest, fieldname: str, rng: random.Random) ->
 
     if fieldname in ("epoch", "seq"):
         value = getattr(req, fieldname) ^ (1 << rng.randrange(16))
-        return replace(req, **{fieldname: value})
+        return req._replace(**{fieldname: value})
     value = getattr(req, fieldname)
     if isinstance(value, bytes):
-        return replace(req, **{fieldname: flip_bytes(value)})
-    return replace(req, **{fieldname: flip_str(value)})
+        return req._replace(**{fieldname: flip_bytes(value)})
+    return req._replace(**{fieldname: flip_str(value)})
 
 
 def run_adversary_campaign(
@@ -486,17 +486,15 @@ def run_adversary_campaign(
             req = build_request(sess_a, "hello", b"p")
             assert validate_request(req, sess_a, "adv-a") is None
             commit_acceptance(sess_a, req)
-            forged = replace(
-                build_request(sess_a, "hello", b"p"), nonce=req.nonce, mac=b""
-            )
-            forged = replace(forged, mac=request_mac(sess_a.sk, forged))
+            forged = build_request(sess_a, "hello", b"p")._replace(nonce=req.nonce, mac=b"")
+            forged = forged._replace(mac=request_mac(sess_a.sk, forged))
             _count(validate_request(forged, sess_a, "adv-a"))
         elif kind == "bitflip":
             req = build_request(sess_a, "hello", b"p")
             fieldname = _FLIP_FIELDS[rng.randrange(len(_FLIP_FIELDS))]
             _count(validate_request(_flip_bit_in_field(req, fieldname, rng), sess_a, "adv-a"))
         elif kind == "path_escape":
-            req = replace(build_request(sess_a, "hello", b"p"), response_path="../../etc/x")
+            req = build_request(sess_a, "hello", b"p")._replace(response_path="../../etc/x")
             _count(validate_request(req, sess_a, "adv-a"))
 
     honest_rejects = 0

@@ -24,19 +24,18 @@ from __future__ import annotations
 import os
 import shlex
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UsageError
 from .fsutil import read_json
 from .lifecycle import DEFAULT_UNTRUSTED_EXIT_CODE
+from .record import Record
 
 _C4_KEYS = {"backend_id", "stage_table", "require_conf", "c_untrusted", "session_seed"}
 
 
-@dataclass(frozen=True)
-class C4Config:
+class C4Config(NamedTuple):
     backend_id: str
     stage_table: dict
     require_conf: bool = False
@@ -44,12 +43,20 @@ class C4Config:
     session_seed: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CompositeBundle:
-    path: Path
-    process_args: list[str]
-    process_env: dict = field(default_factory=dict)
-    c4: C4Config = None  # type: ignore[assignment]
+class CompositeBundle(Record):
+    __slots__ = ("path", "process_args", "process_env", "c4")
+
+    def __init__(
+        self,
+        path: Path,
+        process_args: list[str],
+        process_env: Optional[dict] = None,
+        c4: C4Config = None,  # type: ignore[assignment]
+    ) -> None:
+        self.path = path
+        self.process_args = process_args
+        self.process_env = {} if process_env is None else process_env
+        self.c4 = c4
 
     @property
     def rootfs(self) -> Path:

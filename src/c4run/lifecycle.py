@@ -22,11 +22,11 @@ Termination model
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation
+from .record import Record
 
 #: Exit code reported when termination is caused by a trust or policy
 #: violation. 252 sits outside common shell conventions (126/127/128+sig)
@@ -126,25 +126,32 @@ class TerminationReason(str, Enum):
     POLICY = "policy"
 
 
-@dataclass(frozen=True)
-class TerminationEvent:
+class TerminationEvent(Record):
     """One terminal observation <src, code, reason> plus its wall-clock order."""
 
-    src: EventSource
-    code: int
-    reason: TerminationReason
-    observed_at: float = 0.0
-    origin: str = ""  # free-form provenance tag, e.g. "anchor-exit" or "stage:eid-0001"
+    __slots__ = ("src", "code", "reason", "observed_at", "origin")
 
-    def __post_init__(self) -> None:
-        if self.code < 0:
-            raise ContractViolation(f"termination code must be non-negative, got {self.code}")
-        if self.reason is TerminationReason.POLICY and self.src is not EventSource.POLICY:
+    def __init__(
+        self,
+        src: EventSource,
+        code: int,
+        reason: TerminationReason,
+        observed_at: float = 0.0,
+        origin: str = "",  # free-form provenance tag, e.g. "anchor-exit" or "stage:eid-0001"
+    ) -> None:
+        if code < 0:
+            raise ContractViolation(f"termination code must be non-negative, got {code}")
+        if reason is TerminationReason.POLICY and src is not EventSource.POLICY:
             # Reject rather than silently reclassify: a policy verdict from a
             # non-policy source is a malformed observation.
             raise ContractViolation("reason=policy requires src=P")
-        if not math.isfinite(self.observed_at):
+        if not math.isfinite(observed_at):
             raise ContractViolation("observed_at must be finite")
+        self.src = src
+        self.code = code
+        self.reason = reason
+        self.observed_at = observed_at
+        self.origin = origin
 
 
 def dominance_rank(src: EventSource, reason: TerminationReason) -> int:
@@ -229,8 +236,7 @@ def is_done(dominant: TerminationEvent) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrustEvidence:
+class TrustEvidence(NamedTuple):
     """Attestation/measurement/binding observations; None means not observed."""
 
     e_att: Optional[bool] = None
@@ -242,8 +248,7 @@ class TrustEvidence:
         return self.e_att is not None and self.e_meas is not None and self.e_bind is not None
 
 
-@dataclass(frozen=True)
-class HealthEvidence:
+class HealthEvidence(NamedTuple):
     """Dependency/resource/performance observations; None means not observed."""
 
     e_dep: Optional[bool] = None
@@ -255,19 +260,17 @@ class HealthEvidence:
         return self.e_dep is not None and self.e_res is not None and self.e_perf is not None
 
 
-@dataclass(frozen=True)
-class TeeEvidence:
+class TeeEvidence(NamedTuple):
     """Stage activity observations: in-flight count and last exit rc."""
 
     e_call: int = 0
     e_exit: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ObservabilityEvidence:
-    trust: TrustEvidence = field(default_factory=TrustEvidence)
-    health: HealthEvidence = field(default_factory=HealthEvidence)
-    tee: TeeEvidence = field(default_factory=TeeEvidence)
+class ObservabilityEvidence(NamedTuple):
+    trust: TrustEvidence = TrustEvidence()
+    health: HealthEvidence = HealthEvidence()
+    tee: TeeEvidence = TeeEvidence()
 
 
 def evaluate_observability(evidence: ObservabilityEvidence) -> tuple[TrustFlag, HealthFlag, TeePhase]:
@@ -307,8 +310,7 @@ def evaluate_observability(evidence: ObservabilityEvidence) -> tuple[TrustFlag, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositeStateRecord:
+class CompositeStateRecord(Record):
     """The per-instance lifecycle record persisted as state.json.
 
     It holds the lifecycle alone; the trust, health and phase flags are
@@ -318,33 +320,43 @@ class CompositeStateRecord:
     and the projected status always matches the internal state.
     """
 
-    cid: str
-    state: LifecycleState
-    ver: int
-    exit_code: Optional[int] = None
-    anchor_pid: Optional[int] = None
+    __slots__ = ("cid", "state", "ver", "exit_code", "anchor_pid")
 
-    def __post_init__(self) -> None:
-        if not self.cid:
+    def __init__(
+        self,
+        cid: str,
+        state: LifecycleState,
+        ver: int,
+        exit_code: Optional[int] = None,
+        anchor_pid: Optional[int] = None,
+    ) -> None:
+        if not cid:
             raise ContractViolation("cid must be a non-empty identifier")
-        if self.state is LifecycleState.INIT:
+        if state is LifecycleState.INIT:
             raise ContractViolation("Init is represented by record absence, never stored")
-        if self.ver < 1:
+        if ver < 1:
             raise ContractViolation("ver starts at 1 and only increases")
-        terminal = self.state in TERMINAL_STATES
-        if terminal and self.exit_code is None:
+        terminal = state in TERMINAL_STATES
+        if terminal and exit_code is None:
             raise ContractViolation("terminal records must carry an exit code")
-        if not terminal and self.exit_code is not None:
+        if not terminal and exit_code is not None:
             raise ContractViolation("exit_code is only valid on terminal records")
-        if self.exit_code is not None and not 0 <= self.exit_code <= 255:
-            raise ContractViolation(f"exit_code out of range: {self.exit_code}")
+        if exit_code is not None and not 0 <= exit_code <= 255:
+            raise ContractViolation(f"exit_code out of range: {exit_code}")
+        self.cid = cid
+        self.state = state
+        self.ver = ver
+        self.exit_code = exit_code
+        self.anchor_pid = anchor_pid
 
     @property
     def oci_status(self) -> OciStatus:
         return project_oci(self.state)
 
     def with_state(self, state: LifecycleState, **changes) -> "CompositeStateRecord":
-        return replace(self, state=state, **changes)
+        """A copy in state with the given fields changed, checked again by
+        the constructor."""
+        return CompositeStateRecord(**{**self._asdict(), **changes, "state": state})
 
 
 def evaluate_readiness(

@@ -18,18 +18,14 @@ under distinct keys derived from the session secret with the labels
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import hmac
 import os
 import re
-import secrets
 import struct
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractViolation
+from .record import Record
 
 SCHEMA_VERSION = 1
 
@@ -62,8 +58,7 @@ class RejectReason(str, Enum):
     ORDER_STALE_SEQ = "order_stale_seq"
 
 
-@dataclass
-class SessionState:
+class SessionState(Record):
     """Per-instance session parameters plus replay bookkeeping.
 
     ``next_seq`` is the builder's counter: the next sequence number the
@@ -82,16 +77,17 @@ class SessionState:
     with the watermark at 0.
     """
 
-    cid: str
-    epoch: int
-    sk: bytes
-    next_seq: int = 0
-    seen_request_ids: set[str] = field(default_factory=set, init=False)
-    seen_nonces: set[bytes] = field(default_factory=set, init=False)
+    __slots__ = ("cid", "epoch", "sk", "next_seq", "seen_request_ids", "seen_nonces", "_watermark")
 
-    def __post_init__(self) -> None:
-        if len(self.sk) != SK_LEN:
+    def __init__(self, cid: str, epoch: int, sk: bytes, next_seq: int = 0) -> None:
+        if len(sk) != SK_LEN:
             raise ContractViolation(f"session key must be {SK_LEN} bytes")
+        self.cid = cid
+        self.epoch = epoch
+        self.sk = sk
+        self.next_seq = next_seq
+        self.seen_request_ids: set[str] = set()
+        self.seen_nonces: set[bytes] = set()
         self._watermark = 0
 
     @property
@@ -127,8 +123,7 @@ class SessionState:
         )
 
 
-@dataclass(frozen=True)
-class StageRequest:
+class StageRequest(NamedTuple):
     stage: str
     cid: str
     epoch: int
@@ -140,8 +135,7 @@ class StageRequest:
     mac: bytes
 
 
-@dataclass(frozen=True)
-class StageResponse:
+class StageResponse(NamedTuple):
     request_id: str
     eid: Optional[str]
     rc: int
@@ -210,18 +204,27 @@ def response_canonical_bytes(resp: StageResponse) -> bytes:
     )
 
 
+# hmac (with hashlib) and base64 are imported in the functions that use
+# them: of the processes that import this module, only serve and the anchor
+# compute MACs or encode envelopes.
+
+
+def _hmac_sha256(key: bytes, data: bytes) -> bytes:
+    import hmac
+
+    return hmac.digest(key, data, "sha256")
+
+
 def derive_mac_key(sk: bytes, label: bytes) -> bytes:
-    return hmac.new(sk, label, hashlib.sha256).digest()
+    return _hmac_sha256(sk, label)
 
 
 def request_mac(sk: bytes, req: StageRequest) -> bytes:
-    key = derive_mac_key(sk, REQUEST_KEY_LABEL)
-    return hmac.new(key, request_canonical_bytes(req), hashlib.sha256).digest()
+    return _hmac_sha256(derive_mac_key(sk, REQUEST_KEY_LABEL), request_canonical_bytes(req))
 
 
 def response_mac(sk: bytes, resp: StageResponse) -> bytes:
-    key = derive_mac_key(sk, RESPONSE_KEY_LABEL)
-    return hmac.new(key, response_canonical_bytes(resp), hashlib.sha256).digest()
+    return _hmac_sha256(derive_mac_key(sk, RESPONSE_KEY_LABEL), response_canonical_bytes(resp))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def response_mac(sk: bytes, resp: StageResponse) -> bytes:
 
 
 def make_request_id(epoch: int, seq: int) -> str:
-    return f"{epoch}-{seq}-{secrets.token_hex(4)}"
+    return f"{epoch}-{seq}-{os.urandom(4).hex()}"
 
 
 def response_relpath(request_id: str) -> str:
@@ -247,12 +250,12 @@ def build_request(session: SessionState, stage: str, payload: bytes) -> StageReq
         epoch=session.epoch,
         seq=seq,
         request_id=request_id,
-        nonce=secrets.token_bytes(NONCE_LEN),
+        nonce=os.urandom(NONCE_LEN),
         response_path=response_relpath(request_id),
         payload=payload,
         mac=b"",
     )
-    req = replace(unsigned, mac=request_mac(session.sk, unsigned))
+    req = unsigned._replace(mac=request_mac(session.sk, unsigned))
     session.next_seq = seq + 1
     return req
 
@@ -278,7 +281,7 @@ def build_response(
         reject_reason=reject_reason,
         mac=b"",
     )
-    return replace(unsigned, mac=response_mac(session.sk, unsigned))
+    return unsigned._replace(mac=response_mac(session.sk, unsigned))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,8 @@ def validate_request(
     appending the request's line to the acceptance journal and, once that
     is durable, apply it with :func:`commit_acceptance`.
     """
+    import hmac
+
     if req.cid != expected_cid or req.cid != session.cid:
         return RejectReason.BIND_CID_MISMATCH
     if req.epoch != session.epoch:
@@ -348,6 +353,8 @@ def commit_acceptance(session: SessionState, req: StageRequest) -> None:
 
 def verify_response(resp: StageResponse, session: SessionState, outstanding: set[str]) -> bool:
     """Anchor-side check: authenticated and answering a request we sent."""
+    import hmac
+
     if resp.request_id not in outstanding:
         return False
     if len(resp.mac) != MAC_LEN:
@@ -396,6 +403,8 @@ def _is_int_in(value, lo: int, hi: int) -> bool:
 
 
 def request_to_envelope(req: StageRequest) -> dict:
+    import base64
+
     return {
         "schema_version": SCHEMA_VERSION,
         "stage": req.stage,
@@ -411,6 +420,8 @@ def request_to_envelope(req: StageRequest) -> dict:
 
 
 def request_from_envelope(obj: dict) -> StageRequest:
+    import base64
+
     if not isinstance(obj, dict) or set(obj) != _REQ_KEYS or obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError("malformed request envelope")
     if not all(_is_utf8(obj[k]) for k in ("stage", "cid", "request_id", "nonce_hex", "response_path", "payload_b64", "mac_hex")):
@@ -431,6 +442,8 @@ def request_from_envelope(obj: dict) -> StageRequest:
 
 
 def response_to_envelope(resp: StageResponse) -> dict:
+    import base64
+
     return {
         "schema_version": SCHEMA_VERSION,
         "request_id": resp.request_id,
@@ -444,6 +457,8 @@ def response_to_envelope(resp: StageResponse) -> dict:
 
 
 def response_from_envelope(obj: dict) -> StageResponse:
+    import base64
+
     if not isinstance(obj, dict) or set(obj) != _RESP_KEYS or obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError("malformed response envelope")
     if (

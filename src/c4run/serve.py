@@ -42,10 +42,9 @@ import os
 import select
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .backends import AdapterBase, create_adapter
 from .bundle import CompositeBundle, load_bundle
@@ -81,6 +80,7 @@ from .protocol import (
     request_from_envelope,
     validate_request,
 )
+from .record import Record
 from .statedir import StageRecord, StateDir
 
 logger = logging.getLogger(__name__)
@@ -95,8 +95,7 @@ class StagePipelineState(str, Enum):
     FAILED = "failed"
 
 
-@dataclass
-class WorkItem:
+class WorkItem(NamedTuple):
     """An accepted request bound to its stage identifier."""
 
     req: StageRequest
@@ -105,8 +104,7 @@ class WorkItem:
     claimed_at: float
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     request_id: str
     terminal: StagePipelineState
     stage: str = ""
@@ -116,14 +114,16 @@ class PipelineResult:
     elapsed_s: float = 0.0
 
 
-@dataclass
-class ServeSummary:
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    stop_reason: str = ""
-    elapsed_s: float = 0.0
-    stages: list[dict] = field(default_factory=list)
+class ServeSummary(Record):
+    __slots__ = ("completed", "failed", "rejected", "stop_reason", "elapsed_s", "stages")
+
+    def __init__(self) -> None:
+        self.completed = 0
+        self.failed = 0
+        self.rejected = 0
+        self.stop_reason = ""
+        self.elapsed_s = 0.0
+        self.stages: list[dict] = []
 
     def record(self, result: PipelineResult) -> None:
         if result.terminal is StagePipelineState.COMPLETED:

@@ -70,7 +70,6 @@ import shutil
 import stat
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -93,6 +92,7 @@ from .lifecycle import (
     validate_transition,
 )
 from .protocol import SCHEMA_VERSION, SessionState, StageRequest, commit_acceptance
+from .record import Record
 
 logger = logging.getLogger(__name__)
 
@@ -100,35 +100,64 @@ MARKER_NAME = "created.ok"
 EID_PREFIX = "eid-"
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(Record):
     """Per-stage metadata persisted as enclaves/<EID>/meta.json."""
 
-    eid: str
-    stage: str
-    request_id: str
-    backend: str
-    tee_type: str
-    rc: int
-    status: str  # "completed" | "failed"; terminal and write-once
-    started_at: float
-    finished_at: float
-    evidence_type: str
-    measurement_hash: str
-    session_cid: str
-    session_epoch: int
-    session_seq: int
-    log_path: str = "run.log"
-    failure_reason: Optional[str] = None
-    timings: Optional[dict] = None  # pipeline transition timestamps
-    evidence_extra: Optional[dict] = None
+    # Also the order of meta.json's keys, ahead of schema_version.
+    __slots__ = (
+        "eid", "stage", "request_id", "backend", "tee_type", "rc", "status", "started_at",
+        "finished_at", "evidence_type", "measurement_hash", "session_cid", "session_epoch",
+        "session_seq", "log_path", "failure_reason", "timings", "evidence_extra",
+    )
 
-    def __post_init__(self) -> None:
-        if self.status not in ("completed", "failed"):
-            raise ContractViolation(f"stage status must be terminal, got {self.status!r}")
+    def __init__(
+        self,
+        eid: str,
+        stage: str,
+        request_id: str,
+        backend: str,
+        tee_type: str,
+        rc: int,
+        status: str,  # "completed" | "failed"; terminal and write-once
+        started_at: float,
+        finished_at: float,
+        evidence_type: str,
+        measurement_hash: str,
+        session_cid: str,
+        session_epoch: int,
+        session_seq: int,
+        log_path: str = "run.log",
+        failure_reason: Optional[str] = None,
+        timings: Optional[dict] = None,  # pipeline transition timestamps
+        evidence_extra: Optional[dict] = None,
+    ) -> None:
+        if status not in ("completed", "failed"):
+            raise ContractViolation(f"stage status must be terminal, got {status!r}")
+        self.eid = eid
+        self.stage = stage
+        self.request_id = request_id
+        self.backend = backend
+        self.tee_type = tee_type
+        self.rc = rc
+        self.status = status
+        self.started_at = started_at
+        self.finished_at = finished_at
+        self.evidence_type = evidence_type
+        self.measurement_hash = measurement_hash
+        self.session_cid = session_cid
+        self.session_epoch = session_epoch
+        self.session_seq = session_seq
+        self.log_path = log_path
+        self.failure_reason = failure_reason
+        self.timings = timings
+        self.evidence_extra = evidence_extra
 
     def to_json(self) -> dict:
-        obj = asdict(self)
+        obj = self._asdict()
+        # Copies, so the caller cannot change this record through them.
+        for key in ("timings", "evidence_extra"):
+            if obj[key] is not None:
+                obj[key] = dict(obj[key])
         obj["schema_version"] = SCHEMA_VERSION
         return obj
 
@@ -797,8 +826,7 @@ def _open_fifo(path: Path, flags: int) -> Optional[int]:
 
 def _derive_session_key(cid: str, seed: Optional[str]) -> bytes:
     import hashlib
-    import secrets
 
     if seed is None:
-        return secrets.token_bytes(32)
+        return os.urandom(32)
     return hashlib.sha256(f"{seed}:{cid}".encode()).digest()

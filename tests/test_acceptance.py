@@ -9,7 +9,6 @@ tests/test_acceptance.py -v -s` to see the per-criterion lines.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import time
@@ -244,16 +243,16 @@ def test_criterion_6_binding_fuzz(tmp_path):
             req = build_request(session, "hello", b"sweep-payload")
             value = getattr(req, fieldname)
             if isinstance(value, int):
-                mutated = dataclasses.replace(req, **{fieldname: value ^ (1 << rng.randrange(20))})
+                mutated = req._replace(**{fieldname: value ^ (1 << rng.randrange(20))})
             elif isinstance(value, bytes):
                 raw = bytearray(value or b"\x00")
                 raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
-                mutated = dataclasses.replace(req, **{fieldname: bytes(raw)})
+                mutated = req._replace(**{fieldname: bytes(raw)})
             else:
                 raw = bytearray(value.encode())
                 raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(7)
                 new = bytes(raw).decode("utf-8", "replace")
-                mutated = dataclasses.replace(req, **{fieldname: new if new != value else value + "x"})
+                mutated = req._replace(**{fieldname: new if new != value else value + "x"})
             field_cases += 1
             if validate_request(mutated, session, "sweep") is not None:
                 field_rejects += 1

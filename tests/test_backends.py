@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from c4run.backends import create_adapter, load_receipts
+from c4run.backends.base import StageEvidence
 from c4run.backends.localexec import LocalExecAdapter
 from c4run.backends.sim import (
     DEFAULT_AESGCM_KEY,
@@ -66,6 +70,38 @@ def test_aesgcm_stage_matches_independent_aead():
     _, tag = aes128_gcm_encrypt(DEFAULT_AESGCM_KEY, DEFAULT_AESGCM_NONCE, plaintext)
     assert first.stdout == tag.hex().encode() + b"\n"
     assert first.stdout == AESGCM_1K_SEED7_TAG_HEX.encode() + b"\n"
+
+
+def test_sim_loads_the_cipher_only_when_an_aesgcm_stage_runs():
+    code = (
+        "import sys\n"
+        "from c4run.backends.sim import SimulatorAdapter\n"
+        "from c4run.protocol import SessionState, build_request\n"
+        f"adapter = SimulatorAdapter({TABLE!r})\n"
+        "req = build_request(SessionState(cid='c1', epoch=1, sk=bytes(32)), 'x', b'')\n"
+        "for eid, stage in (('eid-1', 'hello'), ('eid-2', 'aesgcm')):\n"
+        "    handle = adapter.prepare('c1', eid, stage)\n"
+        "    tag = adapter.execute(handle, req).stdout.decode().strip()\n"
+        "    print(stage, 'cryptography' in sys.modules, tag)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "hello False hello from eid-1",
+        f"aesgcm True {AESGCM_1K_SEED7_TAG_HEX}",
+    ]
+
+
+def test_stage_evidence_never_shares_its_extra_dict(sim):
+    assert "extra" not in StageEvidence._field_defaults  # a default would be one dict for all
+    extras = []
+    for eid in ("eid-0001", "eid-0002"):
+        handle = sim.prepare("c1", eid, "hello")
+        extras.append(sim.execute(handle, _req()).evidence.extra)
+        sim.destroy(handle)
+    assert extras[0] is not extras[1]
+    assert [extra["eid"] for extra in extras] == ["eid-0001", "eid-0002"]
 
 
 def test_fail_stage_propagates_configured_rc(sim):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from c4run.bundle import load_bundle, write_test_bundle
+from c4run.bundle import CompositeBundle, load_bundle, write_test_bundle
 from c4run.errors import UsageError
 
 
@@ -22,6 +22,12 @@ def test_load_valid_bundle(tmp_path):
     assert "hello" in bundle.c4.stage_table
     assert bundle.c4.c_untrusted == 252
     assert bundle.rootfs.is_dir()
+
+
+def test_bundles_share_no_env_dict(tmp_path):
+    first, second = CompositeBundle(tmp_path, ["x"]), CompositeBundle(tmp_path, ["x"])
+    first.process_env["K"] = "V"
+    assert second.process_env == {}
 
 
 def test_missing_config_and_rootfs(tmp_path):

@@ -171,6 +171,8 @@ def test_event_construction_rules():
         TerminationEvent(src=S.REE, code=0, reason=R.POLICY)
     with pytest.raises(ContractViolation):
         TerminationEvent(src=S.TEE, code=-1, reason=R.ERROR)
+    with pytest.raises(ContractViolation):
+        TerminationEvent(src=S.TEE, code=1, reason=R.ERROR, observed_at=float("nan"))
     assert exit_code_for(ev("T", 9, "error")) == 9
 
 
@@ -247,6 +249,43 @@ def test_record_invariants():
         CompositeStateRecord(cid="", state=L.PREPARED, ver=1)
     rec = _record(L.STOPPED, exit_code=0)
     assert rec.oci_status is OciStatus.STOPPED
+
+
+@pytest.mark.parametrize(
+    "state, changes",
+    [
+        (L.INIT, {}),
+        (L.STOPPED, {}),  # terminal without exit code
+        (L.FAILED, {"exit_code": 256}),
+        (L.RUNNING, {"exit_code": 0}),
+        (L.RUNNING, {"ver": 0}),
+        (L.RUNNING, {"cid": ""}),
+    ],
+)
+def test_record_checks_hold_at_construction_and_through_with_state(state, changes):
+    fields = {"cid": "c", "ver": 1, **changes}
+    with pytest.raises(ContractViolation):
+        CompositeStateRecord(state=state, **fields)
+    running = _record(L.RUNNING, anchor_pid=7)
+    with pytest.raises(ContractViolation):
+        running.with_state(state, **changes)
+    assert running == _record(L.RUNNING, anchor_pid=7)  # unchanged
+
+
+def test_with_state_keeps_the_fields_it_does_not_change():
+    stopped = _record(L.RUNNING, anchor_pid=7).with_state(L.STOPPED, exit_code=3)
+    assert stopped == CompositeStateRecord(cid="c", state=L.STOPPED, ver=1, exit_code=3, anchor_pid=7)
+    with pytest.raises(TypeError):
+        stopped.with_state(L.STOPPED, no_such_field=1)
+
+
+def test_records_compare_by_value():
+    assert _record(L.RUNNING) == _record(L.RUNNING)
+    assert _record(L.RUNNING) != _record(L.RUNNING, anchor_pid=1)
+    assert _record(L.RUNNING) != ("c", L.RUNNING, 1, None, None)
+    assert ev("T", 3, "error", 1.0) == ev("T", 3, "error", 1.0)
+    assert ev("T", 3, "error", 1.0) != ev("T", 3, "error", 2.0)
+    assert repr(_record(L.PREPARED)).startswith("CompositeStateRecord(cid='c', state=")
 
 
 def test_readiness_examples():

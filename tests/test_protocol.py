@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,7 +114,7 @@ def test_response_golden_vector():
 def test_canonical_bytes_deterministic_and_injective():
     req = golden_request()
     assert request_canonical_bytes(req) == request_canonical_bytes(req)
-    swapped = dataclasses.replace(req, stage=req.request_id, request_id=req.stage)
+    swapped = req._replace(stage=req.request_id, request_id=req.stage)
     assert request_canonical_bytes(swapped) != request_canonical_bytes(req)
     # eid absent vs empty-string reject reason must stay distinguishable
     a = StageResponse("r", None, 0, ResponseStatus.FAILED, b"", None, b"")
@@ -202,8 +201,8 @@ def test_request_id_is_bound_to_its_epoch_and_seq(root, sim_bundle):
     session.next_seq = 5
     honest = build_request(session, "hello", b"p")
     rid = f"{honest.epoch}-0-aaaa"
-    forged = dataclasses.replace(honest, request_id=rid, response_path=f"responses/{rid}.resp", mac=b"")
-    forged = dataclasses.replace(forged, mac=request_mac(session.sk, forged))
+    forged = honest._replace(request_id=rid, response_path=f"responses/{rid}.resp", mac=b"")
+    forged = forged._replace(mac=request_mac(session.sk, forged))
     assert validate_request(forged, session, sd.cid) is RejectReason.BIND_REQUEST_ID_MISMATCH
     reloaded = sd.load_session()
     assert validate_request(honest, reloaded, sd.cid) is None
@@ -211,10 +210,10 @@ def test_request_id_is_bound_to_its_epoch_and_seq(root, sim_bundle):
     again = sd.load_session()
     assert again.next_expected_accept_seq == 6
     rid = f"{honest.epoch}-5-bbbb"
-    second = dataclasses.replace(
-        honest, request_id=rid, response_path=f"responses/{rid}.resp", nonce=bytes(16), mac=b""
+    second = honest._replace(
+        request_id=rid, response_path=f"responses/{rid}.resp", nonce=bytes(16), mac=b""
     )
-    second = dataclasses.replace(second, mac=request_mac(again.sk, second))
+    second = second._replace(mac=request_mac(again.sk, second))
     assert validate_request(second, again, sd.cid) is RejectReason.ORDER_STALE_SEQ
 
 
@@ -224,8 +223,8 @@ def test_request_id_with_whitespace_is_rejected(suffix):
     session = fresh_session()
     honest = build_request(session, "hello", b"p")
     rid = f"{honest.epoch}-{honest.seq}-{suffix}"
-    forged = dataclasses.replace(honest, request_id=rid, response_path=f"responses/{rid}.resp", mac=b"")
-    forged = dataclasses.replace(forged, mac=request_mac(session.sk, forged))
+    forged = honest._replace(request_id=rid, response_path=f"responses/{rid}.resp", mac=b"")
+    forged = forged._replace(mac=request_mac(session.sk, forged))
     assert validate_request(forged, session, "c4-golden") is RejectReason.BIND_REQUEST_ID_MISMATCH
 
 
@@ -235,7 +234,7 @@ def test_request_id_with_whitespace_is_rejected(suffix):
 )
 def test_response_path_escapes_rejected(path):
     session = fresh_session()
-    req = dataclasses.replace(build_request(session, "hello", b"p"), response_path=path)
+    req = build_request(session, "hello", b"p")._replace(response_path=path)
     assert validate_request(req, session, "c4-golden") is RejectReason.BIND_BAD_RESPONSE_PATH
 
 
@@ -243,8 +242,8 @@ def test_nonce_replay_rejected_even_with_fresh_id():
     session = fresh_session()
     first = build_request(session, "hello", b"p")
     commit_acceptance(session, first)
-    forged = dataclasses.replace(build_request(session, "hello", b"p"), nonce=first.nonce, mac=b"")
-    forged = dataclasses.replace(forged, mac=request_mac(session.sk, forged))
+    forged = build_request(session, "hello", b"p")._replace(nonce=first.nonce, mac=b"")
+    forged = forged._replace(mac=request_mac(session.sk, forged))
     assert validate_request(forged, session, "c4-golden") is RejectReason.FRESH_REPLAYED_NONCE
 
 
@@ -288,12 +287,12 @@ def test_any_single_field_corruption_is_rejected(fieldname, data):
     value = getattr(req, fieldname)
     if isinstance(value, int):
         bit = data.draw(st.integers(min_value=0, max_value=31))
-        mutated = dataclasses.replace(req, **{fieldname: value ^ (1 << bit)})
+        mutated = req._replace(**{fieldname: value ^ (1 << bit)})
     elif isinstance(value, bytes):
         raw = bytearray(value if value else b"\x00")
         i = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
         raw[i] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
-        mutated = dataclasses.replace(req, **{fieldname: bytes(raw)})
+        mutated = req._replace(**{fieldname: bytes(raw)})
     else:
         raw = bytearray(value.encode())
         i = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
@@ -301,7 +300,7 @@ def test_any_single_field_corruption_is_rejected(fieldname, data):
         new = bytes(raw).decode("utf-8", "replace")
         if new == value:
             new = value + "x"
-        mutated = dataclasses.replace(req, **{fieldname: new})
+        mutated = req._replace(**{fieldname: new})
     assert validate_request(mutated, session, "c4-golden") is not None
 
 
@@ -323,7 +322,7 @@ def test_response_round_trip_verify():
     resp = build_response(session, "rid-1", rc=0, status=ResponseStatus.COMPLETED, eid="eid-0001", output=b"out")
     assert verify_response(resp, session, {"rid-1"})
     assert not verify_response(resp, session, {"other"})
-    tampered = dataclasses.replace(resp, rc=1)
+    tampered = resp._replace(rc=1)
     assert not verify_response(tampered, session, {"rid-1"})
 
 

@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,6 +13,7 @@ import pytest
 from c4run import runtime
 from c4run.anchor import run_workload
 from c4run.backends import load_receipts
+from c4run.backends.sim import DEFAULT_AESGCM_KEY, DEFAULT_AESGCM_NONCE
 from c4run.bench import audit_artifacts
 from c4run.fsutil import read_json
 from c4run.errors import CorruptStateError, IllegalStateError
@@ -27,7 +28,7 @@ from c4run.protocol import (
     response_to_envelope,
     verify_response,
 )
-from c4run.serve import ServeLoop, StagePipelineState, claim_next
+from c4run.serve import PipelineResult, ServeLoop, ServeSummary, StagePipelineState, claim_next
 from c4run.statedir import StateDir
 from oracles import find_stage_record
 
@@ -213,8 +214,8 @@ def test_second_serve_loop_sees_the_first_ones_accepts(running_instance):
     r = build_request(session, "hello", b"p")
     sd.spool_request(request_to_envelope(r), r.request_id)
     assert loop_a.process_next().terminal is StagePipelineState.COMPLETED
-    same_nonce = dataclasses.replace(build_request(session, "hello", b"p"), nonce=r.nonce, mac=b"")
-    same_nonce = dataclasses.replace(same_nonce, mac=request_mac(session.sk, same_nonce))
+    same_nonce = build_request(session, "hello", b"p")._replace(nonce=r.nonce, mac=b"")
+    same_nonce = same_nonce._replace(mac=request_mac(session.sk, same_nonce))
 
     for req, reason in ((r, "fresh_replayed_id"), (same_nonce, "fresh_replayed_nonce"), (earlier, "order_stale_seq")):
         sd.spool_request(request_to_envelope(req), req.request_id)
@@ -407,6 +408,26 @@ def test_fail_stage_without_fail_fast_keeps_running(running_instance):
     assert sd.read_stage_record(result.eid).rc == 7
     assert _annotations(sd)["tee_phase"] == "error"
     assert sd.load_events() == []
+
+
+def test_aesgcm_stage_seals_and_its_response_verifies(running_instance):
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    sd = running_instance
+    (req,) = _spool(sd, stage="aesgcm")
+    assert ServeLoop(sd, workers=1).process_next().terminal is StagePipelineState.COMPLETED
+    resp = _response(sd, req.request_id)
+    assert verify_response(resp, sd.load_session(), {req.request_id})
+    plaintext = random.Random(7).randbytes(1024 * 1024)  # the sim bundle's aesgcm entry
+    sealed = AESGCM(DEFAULT_AESGCM_KEY).encrypt(DEFAULT_AESGCM_NONCE, plaintext, None)
+    assert resp.output == sealed[-16:].hex().encode() + b"\n"
+
+
+def test_serve_summaries_share_no_stage_list():
+    first, second = ServeSummary(), ServeSummary()
+    first.record(PipelineResult(request_id="r", terminal=StagePipelineState.COMPLETED))
+    assert (first.completed, len(first.stages)) == (1, 1)
+    assert (second.completed, second.stages) == (0, [])
 
 
 def test_successful_stage_leaves_instance_record_unwritten(running_instance):

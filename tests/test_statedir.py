@@ -205,6 +205,27 @@ def test_stage_record_requires_terminal_status(root, sim_bundle):
         )
 
 
+# meta.json's keys in the order dataclasses.asdict gave them, then the schema.
+META_KEYS = [
+    "eid", "stage", "request_id", "backend", "tee_type", "rc", "status", "started_at",
+    "finished_at", "evidence_type", "measurement_hash", "session_cid", "session_epoch",
+    "session_seq", "log_path", "failure_reason", "timings", "evidence_extra", "schema_version",
+]
+
+
+def test_stage_record_json_keeps_meta_keys_in_order_and_copies_its_dicts(root, sim_bundle):
+    sd = _init(root, sim_bundle)
+    timings, extra = {"claimed_at": 1.0}, {"behavior": "hello"}
+    fields = {k: v for k, v in _stage_record(sd, "eid-1-0").to_json().items() if k != "schema_version"}
+    record = StageRecord(**{**fields, "timings": timings, "evidence_extra": extra})
+    obj = record.to_json()
+    assert list(obj) == META_KEYS
+    assert obj["timings"] == timings and obj["timings"] is not timings
+    assert obj["evidence_extra"] == extra and obj["evidence_extra"] is not extra
+    assert StageRecord.from_json(obj) == record
+    assert list(_stage_record(sd, "eid-1-0").to_json()) == META_KEYS  # None dicts too
+
+
 def test_events_journal_appends_and_dedupes(root, sim_bundle):
     sd = _init(root, sim_bundle)
     event = TerminationEvent(

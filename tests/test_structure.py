@@ -51,19 +51,47 @@ def test_every_definition_in_src_is_used_outside_the_tests():
 
 
 BACKEND_ADAPTERS = ("c4run.backends.sim", "c4run.backends.localexec")
+RECORD_CODEGEN = ("dataclasses", "inspect")
+MAC_MODULES = ("hashlib", "hmac", "secrets", "base64")
 
 
 @pytest.mark.parametrize(
     "module, banned",
     [
-        ("c4run.cli", ("c4run.serve", *BACKEND_ADAPTERS, "cryptography", "concurrent.futures", "uuid")),
-        ("c4run.anchor", (*BACKEND_ADAPTERS, "cryptography")),
+        (
+            "c4run.cli",
+            ("c4run.serve", *BACKEND_ADAPTERS, "cryptography", "concurrent.futures", "uuid",
+             *RECORD_CODEGEN, *MAC_MODULES),
+        ),
+        ("c4run.anchor", (*BACKEND_ADAPTERS, "cryptography", *RECORD_CODEGEN)),
+        ("c4run.serve, c4run.backends.sim", (*RECORD_CODEGEN, "cryptography")),
     ],
 )
 def test_short_lived_processes_import_only_what_they_run(module, banned):
     # The lifecycle verbs and the reference anchor start a fresh interpreter
-    # each time; serve alone needs the pipeline and a backend.
+    # each time; serve alone needs the pipeline and a backend. No verb
+    # computes a MAC, and a sim serve loads the cipher only when an aesgcm
+    # stage runs.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = f"import sys, json, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert sorted(set(json.loads(proc.stdout)) & set(banned)) == []
+
+
+def test_no_runtime_module_imports_dataclasses():
+    # Records are NamedTuples or __slots__ classes (c4run.record): building
+    # dataclasses costs every fresh c4run process milliseconds at import.
+    # The long-lived bench tooling, which no verb imports, may use them.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] == "bench":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if "dataclasses" in names:
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
