@@ -107,7 +107,7 @@ class AdapterBase:
         if context is not None:
             try:
                 self._destroy_context(context)
-            except Exception:  # cleanup failures are logged by subclasses, never raised
+            except Exception:  # a cleanup failure must not mask the stage's outcome
                 pass
 
     # -- instrumentation ------------------------------------------------------

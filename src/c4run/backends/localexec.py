@@ -13,7 +13,6 @@ measure identically across runs and any byte change shows up.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import resource
 import signal
@@ -24,8 +23,6 @@ from typing import NamedTuple, Optional
 
 from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
 from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_S = 60.0
 _POLL_S = 0.02

@@ -2,8 +2,7 @@
 
 Stands in for a hardware TEE: each registered stage is a small behavior
 executed in-process, and the emitted evidence is synthetic (a digest of the
-stage's registered identity, stable across runs). Supports fault injection
-so the harness can script prepare failures, latency, and rc overrides.
+stage's registered identity, stable across runs).
 
 Stage table entries ({"behavior": ..., params}):
 
@@ -18,17 +17,13 @@ Stage table entries ({"behavior": ..., params}):
 from __future__ import annotations
 
 import hashlib
-import logging
 import random
 import time
 from typing import NamedTuple, Optional
 
-from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
+from ..errors import CANCELLED_RC, TIMEOUT_RC, StageNotFound
 from ..fsutil import json_canonical
-from ..record import Record
 from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_AESGCM_SIZE = 16 * 1024 * 1024
 DEFAULT_AESGCM_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -37,23 +32,6 @@ DEFAULT_TIMEOUT_S = 60.0
 
 _BEHAVIORS = ("hello", "aesgcm", "fail", "sleep")
 _TICK_S = 0.01
-
-
-class FaultPolicy(Record):
-    """Harness-facing knobs, set as ``SimulatorAdapter.fault_policy``; inert
-    by default."""
-
-    __slots__ = ("fail_prepare_after", "execute_latency", "rc_override")
-
-    def __init__(
-        self,
-        fail_prepare_after: Optional[int] = None,  # prepares beyond this count fail
-        execute_latency: Optional[tuple[float, float]] = None,  # uniform seconds
-        rc_override: Optional[int] = None,
-    ) -> None:
-        self.fail_prepare_after = fail_prepare_after
-        self.execute_latency = execute_latency
-        self.rc_override = rc_override
 
 
 class _StageContext(NamedTuple):
@@ -68,12 +46,6 @@ class SimulatorAdapter(AdapterBase):
     tee_type = "sim"
     evidence_type = "sim-measurement"
 
-    def __init__(self, stage_table, *, receipts_path=None) -> None:
-        super().__init__(stage_table, receipts_path=receipts_path)
-        self.fault_policy = FaultPolicy()
-        self._prepare_count = 0
-        self._rng = random.Random()
-
     def _prepare_context(self, cid: str, eid: str, stage: str) -> _StageContext:
         spec = self.stage_table.get(stage)
         if spec is None:
@@ -81,10 +53,6 @@ class SimulatorAdapter(AdapterBase):
         behavior = spec.get("behavior")
         if behavior not in _BEHAVIORS:
             raise StageNotFound(f"stage {stage!r} has unknown behavior {behavior!r}")
-        self._prepare_count += 1
-        limit = self.fault_policy.fail_prepare_after
-        if limit is not None and self._prepare_count > limit:
-            raise PrepareFailed(f"injected prepare failure (#{self._prepare_count})")
         return _StageContext(cid=cid, eid=eid, stage=stage, spec=spec)
 
     def _measurement(self, stage: str, spec: dict) -> str:
@@ -95,13 +63,6 @@ class SimulatorAdapter(AdapterBase):
         spec = context.spec
         timeout_s = float(spec.get("timeout_s", DEFAULT_TIMEOUT_S))
         started = time.monotonic()
-
-        latency = self.fault_policy.execute_latency
-        if latency is not None:
-            lo, hi = latency
-            rc = self._interruptible_sleep(self._rng.uniform(lo, hi), timeout_s, started, cancel_check)
-            if rc is not None:
-                return self._outcome(context, rc, b"")
 
         behavior = spec["behavior"]
         if behavior == "hello":
@@ -120,9 +81,6 @@ class SimulatorAdapter(AdapterBase):
             rc, stdout = (0 if rc is None else rc), b""
         else:  # unreachable: prepare rejects unknown behaviors
             raise StageNotFound(behavior)
-
-        if self.fault_policy.rc_override is not None:
-            rc = self.fault_policy.rc_override
         return self._outcome(context, rc, stdout)
 
     def _outcome(self, context: _StageContext, rc: int, stdout: bytes) -> StageOutcome:

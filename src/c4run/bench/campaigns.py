@@ -42,6 +42,7 @@ from ..protocol import (
     request_mac,
     request_to_envelope,
     response_from_envelope,
+    response_relpath,
     validate_request,
 )
 from ..serve import ServeLoop
@@ -490,7 +491,12 @@ def run_adversary_campaign(
             forged = forged._replace(mac=request_mac(sess_a.sk, forged))
             _count(validate_request(forged, sess_a, "adv-a"))
         elif kind == "bitflip":
+            # The id's random tail comes from rng, not os.urandom, so which
+            # check a flipped bit trips is a function of the seed.
             req = build_request(sess_a, "hello", b"p")
+            request_id = f"{req.epoch}-{req.seq}-{rng.randbytes(4).hex()}"
+            req = req._replace(request_id=request_id, response_path=response_relpath(request_id), mac=b"")
+            req = req._replace(mac=request_mac(sess_a.sk, req))
             fieldname = _FLIP_FIELDS[rng.randrange(len(_FLIP_FIELDS))]
             _count(validate_request(_flip_bit_in_field(req, fieldname, rng), sess_a, "adv-a"))
         elif kind == "path_escape":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import signal
 import sys
@@ -36,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"state directory root (default: ${DEFAULT_ROOT_ENV} or ~/.local/state/c4run)",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("create", help="materialize persistent state from a bundle")
@@ -65,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the stage pipeline loop")
     p.add_argument("cid")
-    p.add_argument("--backend", default=None, help="override the bundle's backend id")
-    p.add_argument("--fail-fast", dest="fail_fast", action="store_true", default=True)
     p.add_argument("--no-fail-fast", dest="fail_fast", action="store_false")
     p.add_argument("--poll-ms", type=float, default=50.0)
     p.add_argument("--workers", type=int, default=4)
@@ -103,22 +99,8 @@ def _serve(args: argparse.Namespace, root: Path) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
 
-    adapter = None
-    if args.backend:
-        from .backends import create_adapter
-        from .bundle import load_bundle
-
-        bundle = load_bundle(sd.bundle_dir)
-        adapter = create_adapter(
-            args.backend,
-            bundle.c4.stage_table,
-            rootfs=sd.rootfs_dir,
-            work_root=sd.enclaves_dir,
-            receipts_path=sd.receipts_path,
-        )
     loop = ServeLoop(
         sd,
-        adapter=adapter,
         fail_fast=args.fail_fast,
         poll_interval=args.poll_ms / 1000.0,
         workers=args.workers,
@@ -136,11 +118,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     root = _root(args)
 
     try:

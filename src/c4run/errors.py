@@ -3,10 +3,11 @@
 Each error class maps to one CLI exit code so entrypoint behavior stays
 testable: 0 success, 1 usage, 2 not-found, 3 illegal-state, 4 timeout,
 5 internal. The stage rc values that every layer agrees on live here too,
-so the lifecycle verbs read them without importing a backend.
+so the lifecycle verbs read them without importing a backend. What no
+artifact records is reported by warn, one JSON object per stderr line.
 """
 
-import logging
+import json
 import os
 import sys
 from typing import NoReturn
@@ -23,18 +24,23 @@ TIMEOUT_RC = 124
 CANCELLED_RC = 130
 
 
+def warn(cid: str, msg: str, **fields) -> None:
+    """Report an event that no artifact records: one JSON object on one
+    stderr line, keyed by the instance's cid."""
+    print(json.dumps({"cid": cid, "msg": msg, **fields}), file=sys.stderr)
+
+
 def exit_process(rc: int) -> NoReturn:
     """End a process entry point with rc once its main() has returned.
 
-    Flushes stdout and stderr and shuts logging down, then leaves by
-    os._exit, so a short-lived process skips interpreter teardown: module
-    teardown, finalizers and atexit handlers do not run. Only for the
+    Flushes stdout and stderr, then leaves by os._exit, so a short-lived
+    process skips interpreter teardown: module teardown, finalizers and
+    atexit handlers do not run. Only for the
     ``__main__`` blocks and the console script; code that calls main()
     in-process keeps the normal exit.
     """
     sys.stdout.flush()
     sys.stderr.flush()
-    logging.shutdown()
     os._exit(rc)
 
 

@@ -21,7 +21,6 @@ error.
 
 from __future__ import annotations
 
-import logging
 import os
 import signal
 import time
@@ -37,6 +36,7 @@ from .errors import (
     IllegalStateError,
     InternalError,
     WaitTimeout,
+    warn,
 )
 from .fsutil import atomic_write_json
 from .lifecycle import (
@@ -56,8 +56,6 @@ from .lifecycle import (
     reduce_termination,
 )
 from .statedir import StateDir
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_KILL_GRACE_S = 5.0
 WAIT_POLL_S = 0.05
@@ -392,4 +390,4 @@ def _await_stage_drain(sd: StateDir, timeout_s: float) -> None:
     """In-flight stages observe the kill marker and cancel; wait briefly for
     their records to settle so the terminal reduction sees them."""
     if not _poll_until(lambda: sd.in_flight_count() == 0, timeout_s):
-        logger.warning("%s: stages still in flight after kill grace", sd.cid)
+        warn(sd.cid, "stages still in flight after kill grace")

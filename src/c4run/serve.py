@@ -37,7 +37,6 @@ fail-fast off, stage failures are recorded in the stage artifacts only.
 
 from __future__ import annotations
 
-import logging
 import os
 import select
 import time
@@ -46,7 +45,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .backends import AdapterBase, create_adapter
+from .backends import create_adapter
 from .bundle import CompositeBundle, load_bundle
 from .crashpoints import crash_if
 from .errors import (
@@ -59,6 +58,7 @@ from .errors import (
     IllegalStateError,
     PrepareFailed,
     StageNotFound,
+    warn,
 )
 from .fsutil import read_json, remove_if_exists
 from .lifecycle import (
@@ -83,8 +83,6 @@ from .protocol import (
 from .record import Record
 from .statedir import StageRecord, StateDir
 
-logger = logging.getLogger(__name__)
-
 PREPARE_FAILED_RC = 126
 STAGE_NOT_FOUND_RC = 127
 RECOVERY_AMBIGUOUS_RC = 125
@@ -107,15 +105,16 @@ class WorkItem(NamedTuple):
 class PipelineResult(NamedTuple):
     request_id: str
     terminal: StagePipelineState
-    stage: str = ""
     eid: Optional[str] = None
     rc: Optional[int] = None
     reject_reason: Optional[str] = None
-    elapsed_s: float = 0.0
 
 
 class ServeSummary(Record):
-    __slots__ = ("completed", "failed", "rejected", "stop_reason", "elapsed_s", "stages")
+    """Counts only: each request's outcome is in its response and stage
+    artifacts, so nothing here grows with the requests served."""
+
+    __slots__ = ("completed", "failed", "rejected", "stop_reason", "elapsed_s")
 
     def __init__(self) -> None:
         self.completed = 0
@@ -123,7 +122,6 @@ class ServeSummary(Record):
         self.rejected = 0
         self.stop_reason = ""
         self.elapsed_s = 0.0
-        self.stages: list[dict] = []
 
     def record(self, result: PipelineResult) -> None:
         if result.terminal is StagePipelineState.COMPLETED:
@@ -132,17 +130,6 @@ class ServeSummary(Record):
             self.rejected += 1
         else:
             self.failed += 1
-        self.stages.append(
-            {
-                "request_id": result.request_id,
-                "stage": result.stage,
-                "eid": result.eid,
-                "rc": result.rc,
-                "terminal": result.terminal.value,
-                "reject_reason": result.reject_reason,
-                "elapsed_s": round(result.elapsed_s, 6),
-            }
-        )
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +138,6 @@ class ServeSummary(Record):
             "rejected": self.rejected,
             "stop_reason": self.stop_reason,
             "elapsed_s": round(self.elapsed_s, 6),
-            "stages": self.stages,
         }
 
 
@@ -191,7 +177,6 @@ class ServeLoop:
         sd: StateDir,
         *,
         bundle: Optional[CompositeBundle] = None,
-        adapter: Optional[AdapterBase] = None,
         fail_fast: bool = True,
         poll_interval: float = 0.05,
         workers: int = 4,
@@ -200,7 +185,7 @@ class ServeLoop:
     ) -> None:
         self.sd = sd
         self.bundle = bundle or load_bundle(sd.bundle_dir)
-        self.adapter = adapter or create_adapter(
+        self.adapter = create_adapter(
             self.bundle.c4.backend_id,
             self.bundle.c4.stage_table,
             rootfs=sd.rootfs_dir,
@@ -255,15 +240,13 @@ class ServeLoop:
                 envelope = read_json(claimed, "request envelope")
                 req = request_from_envelope(envelope)
             except (ValueError, CorruptStateError) as exc:
-                logger.warning("%s: malformed request %s: %s", self.sd.cid, request_id, exc)
-                return None, self._finalize_rejected(
-                    claimed, request_id, RejectReason.AUTH_MAC_INVALID, claimed_at
-                )
+                warn(self.sd.cid, "malformed request", request_id=request_id, error=str(exc))
+                return None, self._finalize_rejected(claimed, request_id, RejectReason.AUTH_MAC_INVALID)
             # Catch up on what other serve instances accepted since.
             self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
             reason = validate_request(req, self._session, self.sd.cid)
             if reason is not None:
-                return None, self._finalize_rejected(claimed, req.request_id, reason, claimed_at, req)
+                return None, self._finalize_rejected(claimed, req.request_id, reason)
             crash_if("accept:pre-commit")
             self._journal_pos = self.sd.append_accept(self._journal_pos, req)
             commit_acceptance(self._session, req)
@@ -278,14 +261,7 @@ class ServeLoop:
         crash_if("execute:post-marker")
         return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at)
 
-    def _finalize_rejected(
-        self,
-        claimed: Path,
-        request_id: str,
-        reason: RejectReason,
-        claimed_at: float,
-        req: Optional[StageRequest] = None,
-    ) -> PipelineResult:
+    def _finalize_rejected(self, claimed: Path, request_id: str, reason: RejectReason) -> PipelineResult:
         """Rejected requests never reach protected execution; they get an
         authenticated negative response so an honest anchor can tell
         rejection from a host drop."""
@@ -302,14 +278,7 @@ class ServeLoop:
             except ExactlyOnceViolation:
                 pass  # a replayed request already has its rejection on disk
         remove_if_exists(claimed)
-        logger.info("%s: rejected %s (%s)", self.sd.cid, request_id, reason.value)
-        return PipelineResult(
-            request_id=request_id,
-            terminal=StagePipelineState.FAILED,
-            stage=req.stage if req else "",
-            reject_reason=reason.value,
-            elapsed_s=time.time() - claimed_at,
-        )
+        return PipelineResult(request_id=request_id, terminal=StagePipelineState.FAILED, reject_reason=reason.value)
 
     # -- execute + finalize (worker side) ------------------------------------
 
@@ -322,7 +291,6 @@ class ServeLoop:
             handle = self.adapter.prepare(self.sd.cid, eid, req.stage)
         except (StageNotFound, PrepareFailed, C4Error) as exc:
             rc = STAGE_NOT_FOUND_RC if isinstance(exc, StageNotFound) else PREPARE_FAILED_RC
-            logger.warning("%s: prepare failed for %s: %s", self.sd.cid, req.request_id, exc)
             return self._finalize_outcome(
                 item,
                 rc=rc,
@@ -393,10 +361,8 @@ class ServeLoop:
         return PipelineResult(
             request_id=req.request_id,
             terminal=StagePipelineState.COMPLETED if rc == 0 else StagePipelineState.FAILED,
-            stage=req.stage,
             eid=eid,
             rc=rc,
-            elapsed_s=timings["finished_at"] - item.claimed_at,
         )
 
     def _write_stage_response(self, request_id: str, record: StageRecord, output: bytes) -> None:
@@ -463,7 +429,6 @@ class ServeLoop:
         summary = ServeSummary()
         started = time.monotonic()
         if rec.state in TERMINAL_STATES:
-            logger.warning("%s: instance already terminal; nothing to serve", self.sd.cid)
             summary.stop_reason = "terminal"
             return summary
         if rec.state is not LifecycleState.RUNNING:
@@ -616,7 +581,6 @@ class ServeLoop:
                 failure_reason="recovery_ambiguous",
                 timings={"claimed_at": marker.get("ts", now), "finished_at": now},
             )
-            logger.warning("%s: ambiguous crashed stage for %s; failing it", self.sd.cid, request_id)
             self.sd.write_stage_record(marker["eid"], record, b"")
             self._write_stage_response(request_id, record, b"")
             self._cleanup_claim(request_id, claimed)

@@ -64,7 +64,6 @@ truncating a file.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import shutil
 import stat
@@ -82,6 +81,7 @@ from .errors import (
     ExactlyOnceViolation,
     TransitionError,
     VersionConflict,
+    warn,
 )
 from .lifecycle import (
     CompositeStateRecord,
@@ -93,8 +93,6 @@ from .lifecycle import (
 )
 from .protocol import SCHEMA_VERSION, SessionState, StageRequest, commit_acceptance
 from .record import Record
-
-logger = logging.getLogger(__name__)
 
 MARKER_NAME = "created.ok"
 EID_PREFIX = "eid-"
@@ -379,10 +377,9 @@ class StateDir:
         durable.
         """
         if self.is_created():
-            logger.debug("create on existing %s is a no-op", self.cid)
             return
         if self.path.exists():
-            logger.warning("discarding partial create for %s", self.cid)
+            warn(self.cid, "discarding partial create")
             shutil.rmtree(self.path)
         self.path.mkdir(parents=True)
         crash_if("create:post-root")
@@ -644,10 +641,10 @@ class StateDir:
                 os.mkfifo(self.wake_path, 0o600)
             fd = _open_fifo(self.wake_path, os.O_RDWR)
         except OSError as exc:
-            logger.warning("%s: wake FIFO unusable (%s); serve polls only", self.cid, exc)
+            warn(self.cid, "wake FIFO unusable; serve polls only", error=str(exc))
         else:
             if fd is None:
-                logger.warning("%s: wake is not a FIFO; serve polls only", self.cid)
+                warn(self.cid, "wake is not a FIFO; serve polls only")
         try:
             yield [] if fd is None else [fd]
         finally:

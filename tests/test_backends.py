@@ -14,7 +14,6 @@ from c4run.backends.localexec import LocalExecAdapter
 from c4run.backends.sim import (
     DEFAULT_AESGCM_KEY,
     DEFAULT_AESGCM_NONCE,
-    FaultPolicy,
     SimulatorAdapter,
 )
 from c4run.errors import CANCELLED_RC, TIMEOUT_RC, BackendHandleInvalid, PrepareFailed, StageNotFound, UsageError
@@ -138,35 +137,14 @@ def test_unknown_stage_and_handle_lifecycle(sim):
     sim.destroy(h3)  # destroy without execute (cancelled stage)
 
 
-def test_fault_injection_policy():
-    adapter = SimulatorAdapter(TABLE)
-    adapter.fault_policy = FaultPolicy(fail_prepare_after=1)
-    adapter.prepare("c1", "eid-0001", "hello")
-    with pytest.raises(PrepareFailed):
-        adapter.prepare("c1", "eid-0002", "hello")
-
-    adapter.fault_policy = FaultPolicy(rc_override=42)
-    handle = adapter.prepare("c1", "eid-0003", "hello")
-    assert adapter.execute(handle, _req()).rc == 42
-    adapter.destroy(handle)
-
-    adapter.fault_policy = FaultPolicy(execute_latency=(0.0, 0.0))
-    handle = adapter.prepare("c1", "eid-0004", "hello")
-    t0 = time.monotonic()
-    adapter.execute(handle, _req())
-    assert time.monotonic() - t0 < 0.5
-    adapter.destroy(handle)
-
-
 def test_latency_under_concurrency_all_complete():
     adapter = SimulatorAdapter(TABLE)
-    adapter.fault_policy = FaultPolicy(execute_latency=(0.01, 0.05))
     results = []
     lock = threading.Lock()
 
     def work(i):
-        handle = adapter.prepare("c1", f"eid-{i:04d}", "hello")
-        outcome = adapter.execute(handle, _req())
+        handle = adapter.prepare("c1", f"eid-{i:04d}", "sleep")
+        outcome = adapter.execute(handle, _req("sleep"))
         adapter.destroy(handle)
         with lock:
             results.append(outcome.rc)

@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from c4run import runtime
+from c4run import protocol, runtime
 from c4run.bench import audit_artifacts, audit_state_consistency
 from c4run.bench.campaigns import (
     run_adversary_campaign,
@@ -189,6 +189,16 @@ def test_adversary_report_deterministic_under_fixed_seed(tmp_path):
     assert a["per_kind"] == b["per_kind"]
     assert a["reject_reasons"] == b["reject_reasons"]
     assert a["accepted_transformed"] == b["accepted_transformed"] == 0
+
+
+def test_adversary_report_is_a_function_of_the_seed(tmp_path, monkeypatch):
+    # Request ids end in os.urandom hex; a flipped bit in that tail must not
+    # decide which reason a case is rejected for.
+    reports = []
+    for tail in ("00000000", "ffffffff"):
+        monkeypatch.setattr(protocol, "make_request_id", lambda epoch, seq, tail=tail: f"{epoch}-{seq}-{tail}")
+        reports.append(run_adversary_campaign(tmp_path / tail, cases=10_000, e2e_cases=0, seed=0))
+    assert reports[0] == reports[1]
 
 
 def test_bench_cli_correctness(tmp_path, capsys):

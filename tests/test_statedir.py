@@ -326,3 +326,14 @@ def test_spool_request_returns_at_once_whatever_the_wake_is(root, sim_bundle, se
     finally:
         if held is not None:
             os.close(held)
+
+
+def test_wake_that_is_not_a_fifo_warns_once_as_a_json_line(root, sim_bundle, capsys):
+    sd = _init(root, sim_bundle)
+    _regular_file(sd)
+    capsys.readouterr()
+    with sd.wake_fds() as fds:
+        assert fds == []
+    (line,) = capsys.readouterr().err.splitlines()
+    warning = json.loads(line)
+    assert set(warning) == {"cid", "msg"} and warning["cid"] == sd.cid

@@ -53,6 +53,7 @@ def test_every_definition_in_src_is_used_outside_the_tests():
 BACKEND_ADAPTERS = ("c4run.backends.sim", "c4run.backends.localexec")
 RECORD_CODEGEN = ("dataclasses", "inspect")
 MAC_MODULES = ("hashlib", "hmac", "secrets", "base64")
+STDLIB_LOGGING = ("logging", "traceback")
 
 
 @pytest.mark.parametrize(
@@ -61,17 +62,17 @@ MAC_MODULES = ("hashlib", "hmac", "secrets", "base64")
         (
             "c4run.cli",
             ("c4run.serve", *BACKEND_ADAPTERS, "cryptography", "concurrent.futures", "uuid",
-             *RECORD_CODEGEN, *MAC_MODULES),
+             *RECORD_CODEGEN, *MAC_MODULES, *STDLIB_LOGGING),
         ),
-        ("c4run.anchor", (*BACKEND_ADAPTERS, "cryptography", *RECORD_CODEGEN)),
+        ("c4run.anchor", (*BACKEND_ADAPTERS, "cryptography", *RECORD_CODEGEN, *STDLIB_LOGGING)),
         ("c4run.serve, c4run.backends.sim", (*RECORD_CODEGEN, "cryptography")),
     ],
 )
 def test_short_lived_processes_import_only_what_they_run(module, banned):
     # The lifecycle verbs and the reference anchor start a fresh interpreter
     # each time; serve alone needs the pipeline and a backend. No verb
-    # computes a MAC, and a sim serve loads the cipher only when an aesgcm
-    # stage runs.
+    # computes a MAC, none loads logging (errors.warn prints JSON lines), and
+    # a sim serve loads the cipher only when an aesgcm stage runs.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = f"import sys, json, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
