@@ -9,7 +9,7 @@ Workload file (JSON, resolved relative to the rootfs working directory):
 
     {
       "stages": ["hello", "hello", ...],    # one entry per stage request
-      "concurrency": 4,                      # max outstanding (default: all)
+      "concurrency": 4,                      # max outstanding, >= 1 (default: all)
       "inter_request_delay_ms": 0,
       "response_timeout_s": 60,
       "payload": "optional text sent to every stage"
@@ -49,6 +49,9 @@ def run_workload(sd: StateDir, session: SessionState, workload: dict) -> int:
         print("anchor: invalid workload stages", file=sys.stderr)
         return 2
     concurrency = int(workload.get("concurrency", len(stages) or 1))
+    if concurrency < 1:
+        print("anchor: invalid workload concurrency", file=sys.stderr)
+        return 2
     delay_s = float(workload.get("inter_request_delay_ms", 0)) / 1000.0
     timeout_s = float(workload.get("response_timeout_s", DEFAULT_RESPONSE_TIMEOUT_S))
     payload = workload.get("payload", "ping").encode()

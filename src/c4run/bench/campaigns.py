@@ -307,12 +307,9 @@ def run_concurrency_campaign(
     *,
     k_values: tuple[int, ...] = (2, 5, 8, 16, 32),
     rounds_per_k: int = 5,
-    serve_instances: int = 1,
-    stage: str = "sleep",
     stage_latency_ms: float = 30.0,
-    backend_id: str = "sim",
 ) -> dict:
-    """k concurrent stages per round; reports elapsed and k/elapsed_s."""
+    """k concurrent sim sleep stages per round; reports elapsed and k/elapsed_s."""
     workdir = Path(workdir)
     root = workdir / "state"
     root.mkdir(parents=True, exist_ok=True)
@@ -324,9 +321,8 @@ def run_concurrency_campaign(
     for k in k_values:
         bundle = write_test_bundle(
             workdir / f"bundle-k{k}",
-            backend_id=backend_id,
-            stage_table=table if backend_id == "sim" else None,
-            workload={"stages": [stage] * k, "concurrency": k, "response_timeout_s": 120},
+            stage_table=table,
+            workload={"stages": ["sleep"] * k, "concurrency": k, "response_timeout_s": 120},
         )
         elapsed_values, throughput_values = [], []
         successes = 0
@@ -376,7 +372,7 @@ def run_concurrency_campaign(
                 "per_round": per_round,
             }
         )
-    return {"k_values": list(k_values), "serve_instances": serve_instances, "rows": rows}
+    return {"k_values": list(k_values), "rows": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ instances on one instance directory:
   Recovery uses the ladder (response? meta? marker? journalled?) to requeue,
   resume, replay the response, or fail a claim as ambiguous — never running
   the backend twice for one accepted request.
+- A serve with N workers runs N copies of one loop in threads, which
+  coordinate through the session lock and the claim rename exactly as N
+  serve processes do; the thread that claims a request executes it.
 - An idle loop waits on the wake FIFO for at most poll_interval.
   spool_request rings it for a new request, and the anchor supervisor once
   anchor_exit.json is durable, so --until-done stops as soon as the anchor
@@ -39,14 +42,14 @@ from __future__ import annotations
 
 import os
 import select
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .backends import create_adapter
-from .bundle import CompositeBundle, load_bundle
+from .bundle import load_bundle
 from .crashpoints import crash_if
 from .errors import (
     CANCELLED_RC,
@@ -176,7 +179,6 @@ class ServeLoop:
         self,
         sd: StateDir,
         *,
-        bundle: Optional[CompositeBundle] = None,
         fail_fast: bool = True,
         poll_interval: float = 0.05,
         workers: int = 4,
@@ -184,7 +186,7 @@ class ServeLoop:
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.sd = sd
-        self.bundle = bundle or load_bundle(sd.bundle_dir)
+        self.bundle = load_bundle(sd.bundle_dir)
         self.adapter = create_adapter(
             self.bundle.c4.backend_id,
             self.bundle.c4.stage_table,
@@ -203,7 +205,7 @@ class ServeLoop:
         self._session = sd.load_session_params()
         self._journal_pos = 0
 
-    # -- cancellation -------------------------------------------------------
+    # -- stopping -------------------------------------------------------------
 
     def _instance_terminal(self) -> bool:
         now = time.monotonic()
@@ -218,22 +220,28 @@ class ServeLoop:
         self._terminal_cache = (now, value)
         return value
 
-    def _cancel_requested(self) -> bool:
-        return self.sd.kill_marker_path.exists() or self.stop_check() or self._instance_terminal()
+    def _stop_reason(self) -> str:
+        """Why serve must stop now, or "" to go on: the loop's stop check and
+        the cancel check of a stage in flight."""
+        if self.stop_check():
+            return "signal"
+        if self._instance_terminal():
+            return "terminal"
+        return "killed" if self.sd.kill_marker_path.exists() else ""
 
-    # -- claim + accept (dispatcher side, sequential under the session lock) --
+    # -- claim + accept (sequential under the session lock) -------------------
 
-    def _claim_and_accept_detail(self) -> tuple[Optional[WorkItem], Optional[PipelineResult]]:
+    def _claim_and_accept_detail(self) -> Optional[WorkItem | PipelineResult]:
         """Claim one request and run the Accept predicate against it.
 
         Returns a WorkItem for an accepted request, or the result of a
         rejection finalized inline (rejected response written, no stage
-        identifier allocated); (None, None) when the spool is empty.
+        identifier allocated); None when the spool is empty.
         """
         with self.sd.session_lock():
             claimed = claim_next(self.sd)
             if claimed is None:
-                return None, None
+                return None
             claimed_at = time.time()
             request_id = claimed.stem
             try:
@@ -241,17 +249,17 @@ class ServeLoop:
                 req = request_from_envelope(envelope)
             except (ValueError, CorruptStateError) as exc:
                 warn(self.sd.cid, "malformed request", request_id=request_id, error=str(exc))
-                return None, self._finalize_rejected(claimed, request_id, RejectReason.AUTH_MAC_INVALID)
+                return self._finalize_rejected(claimed, request_id, RejectReason.AUTH_MAC_INVALID)
             # Catch up on what other serve instances accepted since.
             self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
             reason = validate_request(req, self._session, self.sd.cid)
             if reason is not None:
-                return None, self._finalize_rejected(claimed, req.request_id, reason)
+                return self._finalize_rejected(claimed, req.request_id, reason)
             crash_if("accept:pre-commit")
             self._journal_pos = self.sd.append_accept(self._journal_pos, req)
             commit_acceptance(self._session, req)
             crash_if("accept:post-commit")
-        return self._bind(req, claimed, claimed_at), None
+        return self._bind(req, claimed, claimed_at)
 
     def _bind(self, req: StageRequest, claimed: Path, claimed_at: float) -> WorkItem:
         """Bind an accepted request to the stage its (epoch, seq) names; the
@@ -280,7 +288,7 @@ class ServeLoop:
         remove_if_exists(claimed)
         return PipelineResult(request_id=request_id, terminal=StagePipelineState.FAILED, reject_reason=reason.value)
 
-    # -- execute + finalize (worker side) ------------------------------------
+    # -- execute + finalize (by the loop that claimed, outside the lock) ------
 
     def execute_accepted(self, item: WorkItem) -> PipelineResult:
         req, eid = item.req, item.eid
@@ -304,8 +312,8 @@ class ServeLoop:
         try:
             timings["executing_at"] = time.time()
             crash_if("execute:pre-backend")
-            outcome = self.adapter.execute(handle, req, cancel_check=self._cancel_requested)
-            cancelled = outcome.rc == CANCELLED_RC and self._cancel_requested()
+            outcome = self.adapter.execute(handle, req, cancel_check=self._stop_reason)
+            cancelled = outcome.rc == CANCELLED_RC and self._stop_reason() != ""
         finally:
             self.adapter.destroy(handle)
         return self._finalize_outcome(
@@ -406,20 +414,20 @@ class ServeLoop:
 
     def process_next(self) -> Optional[PipelineResult]:
         """Claim and fully process a single request; None when spool is empty."""
-        item, rejected = self._claim_and_accept_detail()
-        if rejected is not None:
-            return rejected
-        if item is None:
-            return None
-        return self.execute_accepted(item)
+        claimed = self._claim_and_accept_detail()
+        return self.execute_accepted(claimed) if isinstance(claimed, WorkItem) else claimed
 
     def run(self, mode: str = "until-idle") -> ServeSummary:
         """Serve until the mode's exit condition; returns the summary.
 
-        Modes: "until-idle" (idle_polls iterations in a row began and ended
-        with no stage in flight and claimed nothing from the spool),
-        "until-done" (anchor exited and everything drained), "forever"
-        (until stop signal or the instance goes terminal).
+        Runs ``workers`` copies of one loop in threads: drain the wake FIFO,
+        check whether to stop, process_next(), and after an empty scan wait
+        on the FIFO for at most poll_interval. Modes: "until-idle" (each loop
+        ends after idle_polls empty scans in a row, serve once all have),
+        "until-done" (a loop finds the spool empty after the anchor exited),
+        "forever" (until stop signal or the instance goes terminal). A stop
+        one loop sees, or an exception it raises, ends every loop; the first
+        reason wins, and run() raises the first exception again.
         """
         if mode not in ("until-idle", "until-done", "forever"):
             raise IllegalStateError(f"unknown serve mode {mode!r}")
@@ -434,59 +442,57 @@ class ServeLoop:
         if rec.state is not LifecycleState.RUNNING:
             raise IllegalStateError(f"{self.sd.cid}: serve requires a running instance")
 
-        idle_streak = 0
-        with self.sd.serve_lock(exclusive=False), self.sd.wake_fds() as bell:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures: set[Future] = set()
-                stop_reason = ""
+        lock = threading.Lock()
+        errors: list[BaseException] = []
+
+        def stop(reason: str) -> None:
+            with lock:
+                summary.stop_reason = summary.stop_reason or reason
+            self.sd.ring_wake()  # a ring is one byte: each loop that stops passes it on
+
+        def loop(bell: list[int]) -> None:
+            idle_streak = 0
+            try:
                 while True:
-                    if self.stop_check():
-                        stop_reason = "signal"
-                        break
-                    if self._instance_terminal():
-                        stop_reason = "terminal"
-                        break
-                    if self.sd.kill_marker_path.exists():
-                        stop_reason = "killed"
-                        break
-
-                    # With every slot full the spool is not scanned, so an
-                    # iteration that starts with stages in flight is never idle.
-                    active = bool(futures)
-                    # Drained before the scan, not after the wait: a ring for
-                    # a file this scan claims must not end a later wait early.
+                    # Drained first, so no ring for a stop is consumed unseen and
+                    # no ring for a file this scan claims ends a later wait early.
                     _drain_wake(bell)
-                    while len(futures) < self.workers:
-                        item, rejected = self._claim_and_accept_detail()
-                        if rejected is not None:
-                            summary.record(rejected)
-                            active = True
-                            continue
-                        if item is None:
-                            break
-                        futures.add(pool.submit(self.execute_accepted, item))
-                        active = True
-
-                    if futures:
-                        done, futures = wait(futures, timeout=self.poll_interval, return_when=FIRST_COMPLETED)
-                        for fut in done:
-                            summary.record(fut.result())
-                    if active or futures:
+                    reason = summary.stop_reason or self._stop_reason()
+                    if reason:
+                        stop(reason)
+                        return
+                    result = self.process_next()
+                    if result is not None:
+                        with lock:
+                            summary.record(result)
                         idle_streak = 0
                         continue
-
                     idle_streak += 1
                     if mode == "until-idle" and idle_streak >= self.idle_polls:
-                        stop_reason = "idle"
-                        break
+                        return
                     if mode == "until-done" and self.sd.read_anchor_exit() is not None:
-                        stop_reason = "done"
-                        break
+                        stop("done")
+                        return
                     select.select(bell, [], [], self.poll_interval)
+            except BaseException as exc:  # re-raised by run() once every loop ended
+                errors.append(exc)
+                stop("error")
 
-                for fut in futures:
-                    summary.record(fut.result())
-        summary.stop_reason = stop_reason
+        with self.sd.serve_lock(exclusive=False), self.sd.wake_fds() as bell:
+            threads = [threading.Thread(target=loop, args=(bell,)) for _ in range(self.workers)]
+            for t in threads:
+                t.start()
+            try:
+                for t in threads:
+                    t.join()
+            except BaseException:  # e.g. KeyboardInterrupt: no loop may outlive the serve lock
+                stop("error")
+                for t in threads:
+                    t.join()
+                raise
+        if errors:
+            raise errors[0]
+        summary.stop_reason = summary.stop_reason or "idle"
         summary.elapsed_s = time.monotonic() - started
         return summary
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -306,15 +307,87 @@ def test_anchor_counts_a_tampered_response_as_failed_verification(root, sim_bund
     assert "response failed verification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "workload",
+    [{"stages": "hello"}, {"stages": ["hello", "hello"], "concurrency": 0}],
+    ids=["stages-not-a-list", "concurrency-zero"],
+)
+def test_anchor_rejects_an_invalid_workload_before_spooling(root, sim_bundle, capsys, workload):
+    # With concurrency 0 the anchor used to wait for a free slot until its
+    # response deadline, then fail requests that serve had completed.
+    sd = StateDir(root, "t-anchor")
+    sd.init(sim_bundle)
+    t0 = time.monotonic()
+    assert run_workload(sd, sd.load_session(), dict(workload, response_timeout_s=3)) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert sd.pending_requests() == []
+    assert "anchor: invalid workload" in capsys.readouterr().err
+
+
 def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):
-    # One slot, stages outlasting the poll: every iteration starts full, so
-    # none of them scans the spool and none may count as idle.
+    # One loop, stages outlasting the poll: an iteration that ran a stage
+    # never counts as idle.
     sd = running_instance
     _spool(sd, stage="sleep", n=3)  # 50 ms each in the sim table
     summary = ServeLoop(sd, workers=1, idle_polls=1, poll_interval=0.01).run(mode="until-idle")
     assert summary.stop_reason == "idle"
     assert summary.completed == 3
     assert sd.pending_requests() == []
+
+
+def test_four_workers_execute_four_stages_at_once(running_instance):
+    # Each execute returns only once all four are inside execute together.
+    sd = running_instance
+    _spool(sd, n=4)
+    loop = ServeLoop(sd, workers=4)
+    barrier = threading.Barrier(4, timeout=10)
+    execute = loop.adapter.execute
+
+    def execute_together(*args, **kwargs):
+        barrier.wait()
+        return execute(*args, **kwargs)
+
+    loop.adapter.execute = execute_together
+    summary = loop.run(mode="until-idle")
+    assert (summary.completed, summary.failed, summary.stop_reason) == (4, 0, "idle")
+
+
+def test_more_workers_than_cores_count_every_request_once(running_instance):
+    # A short switch interval preempts the loops often: a lost update to the
+    # shared counts, or a request run twice, would show here.
+    sd = running_instance
+    _spool(sd, n=48)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        summary = ServeLoop(sd, workers=8).run(mode="until-idle")
+    finally:
+        sys.setswitchinterval(interval)
+    assert (summary.completed, summary.failed, summary.rejected) == (48, 0, 0)
+    counts = Counter(r["request_id"] for r in load_receipts(sd.receipts_path))
+    assert len(counts) == 48 and set(counts.values()) == {1}
+
+
+def test_an_exception_in_one_loop_ends_every_loop_and_leaves_run(running_instance):
+    # forever mode with a 5 s poll: the three loops that scan an empty spool
+    # end only because the failing one stops them, and no thread outlives run().
+    sd = running_instance
+    pending_requests = sd.pending_requests
+    scans = itertools.count()
+
+    def first_scan_fails():
+        if next(scans) == 0:
+            raise CorruptStateError("injected")
+        return pending_requests()
+
+    sd.pending_requests = first_scan_fails
+    loop = ServeLoop(sd, workers=4, poll_interval=5.0)
+    before = set(threading.enumerate())
+    t0 = time.monotonic()
+    with pytest.raises(CorruptStateError, match="injected"):
+        loop.run(mode="forever")
+    assert time.monotonic() - t0 < 2.5
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_idle_serve_wakes_when_a_request_is_spooled(running_instance):
@@ -475,7 +548,7 @@ def test_serve_run_modes_and_preconditions(root, sim_bundle, running_instance):
     runtime.cmd_delete(root, "unstarted", force=True)
 
 
-def test_serve_on_terminal_instance_warns_and_exits(root, sim_bundle):
+def test_serve_on_terminal_instance_reports_terminal_and_exits(root, sim_bundle):
     from c4run import runtime
 
     runtime.cmd_create(root, "t-term", sim_bundle)

@@ -65,14 +65,18 @@ STDLIB_LOGGING = ("logging", "traceback")
              *RECORD_CODEGEN, *MAC_MODULES, *STDLIB_LOGGING),
         ),
         ("c4run.anchor", (*BACKEND_ADAPTERS, "cryptography", *RECORD_CODEGEN, *STDLIB_LOGGING)),
-        ("c4run.serve, c4run.backends.sim", (*RECORD_CODEGEN, "cryptography")),
+        (
+            "c4run.serve, c4run.backends.sim",
+            (*RECORD_CODEGEN, "cryptography", "concurrent.futures", *STDLIB_LOGGING),
+        ),
     ],
 )
 def test_short_lived_processes_import_only_what_they_run(module, banned):
     # The lifecycle verbs and the reference anchor start a fresh interpreter
     # each time; serve alone needs the pipeline and a backend. No verb
-    # computes a MAC, none loads logging (errors.warn prints JSON lines), and
-    # a sim serve loads the cipher only when an aesgcm stage runs.
+    # computes a MAC, no process loads logging (errors.warn prints JSON
+    # lines), serve's workers are plain threads, and a sim serve loads the
+    # cipher only when an aesgcm stage runs.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = f"import sys, json, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
