@@ -1,9 +1,11 @@
 """Filesystem primitives: atomic replace, write-once link, advisory locks.
 
-Durability discipline used everywhere: write to a temporary file in the
-target directory, fsync the file, atomically rename over the destination,
-then fsync the directory. A reader therefore always sees either the old
-complete object or the new complete object, never a torn write.
+Durability discipline used everywhere: write to a temporary file, fsync the
+file, atomically rename over the destination, then fsync the directory. A
+reader therefore always sees either the old complete object or the new
+complete object, never a torn write. The temporary file is a spare from a
+:class:`Spares` stock made earlier on the same file system or, when there
+is none, a new file in the target directory.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from contextlib import contextmanager
+import shutil
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple, Optional
 
 from .errors import CorruptStateError, ExactlyOnceViolation
 
@@ -31,33 +34,52 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _write_tmp(path: Path, data: bytes) -> Path:
-    tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
+def _unique_name() -> str:
+    return f"{os.getpid()}.{os.urandom(4).hex()}"
+
+
+def _new_file(path: Path) -> int:
+    return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+
+
+def _write_tmp(path: Path, data: bytes, spares: Optional[Spares]) -> Path:
+    """A new temporary holding data, fsynced: a stocked spare, else a new
+    file in path's directory. It is filled through the descriptor that
+    created it, never by reopening its name."""
+    spare = spares.file() if spares is not None else None
+    if spare is None:
+        tmp = path.parent / f".{path.name}.{_unique_name()}.tmp"
+        fd = _new_file(tmp)
+    else:
+        tmp, fd = spare
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     return tmp
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
+def atomic_write_bytes(path: Path, data: bytes, spares: Optional[Spares] = None) -> None:
     """Replace path with data atomically and durably."""
-    tmp = _write_tmp(path, data)
+    tmp = _write_tmp(path, data, spares)
     os.replace(tmp, path)
     fsync_dir(path.parent)
 
 
-def atomic_write_json(path: Path, obj: Any) -> None:
-    atomic_write_bytes(path, (json_canonical(obj) + "\n").encode())
+def atomic_write_json(path: Path, obj: Any, spares: Optional[Spares] = None) -> None:
+    atomic_write_bytes(path, (json_canonical(obj) + "\n").encode(), spares)
 
 
-def write_once_bytes(path: Path, data: bytes) -> None:
+def write_once_bytes(path: Path, data: bytes, spares: Optional[Spares] = None) -> None:
     """Create path with data; fail if it already exists.
 
     Uses link(2) from a synced temporary so the check-and-create is atomic
     even against concurrent writers in other processes.
     """
-    tmp = _write_tmp(path, data)
+    tmp = _write_tmp(path, data, spares)
     try:
         os.link(tmp, path)
     except FileExistsError:
@@ -69,10 +91,7 @@ def write_once_bytes(path: Path, data: bytes) -> None:
 
 def read_json(path: Path, what: str = "artifact") -> Any:
     """Parse a JSON artifact; a present-but-unparseable file is corruption."""
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise
+    raw = path.read_bytes()
     try:
         return json.loads(raw)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -113,3 +132,114 @@ def remove_if_exists(path: Path) -> bool:
         return True
     except FileNotFoundError:
         return False
+
+
+class _Spare(NamedTuple):
+    path: Path
+    fd: int  # open from creation on, so no other inode can take its number
+    inode: tuple[int, int]  # (st_dev, st_ino) of fd
+
+
+def _inode(st: os.stat_result) -> tuple[int, int]:
+    return st.st_dev, st.st_ino
+
+
+class Spares:
+    """A stock of empty files and directories, made ahead of use in one
+    directory on the file system of the objects they become.
+
+    Making an inode is the dearest step of a durable write, so a serve makes
+    them while it is idle, and its request path renames or links a spare
+    into place instead. Each name carries the pid and random hex. Each spare
+    stays open from creation until it is taken, and a file is filled
+    through that descriptor. Taking a spare checks that its name still
+    names the open inode, so a name swapped for, say, a symlink is dropped
+    and redirects nothing. When the stock is empty the caller makes its
+    inode in place, as it would without a stock: a spare made on demand
+    would cost the same inode plus a move between directories, and the lock
+    of the one spare directory that every serve of the instance shares. The
+    loops of one serve share a stock: list.pop and list.append are atomic,
+    and two loops that top it up at once overshoot by at most one spare
+    each.
+    """
+
+    def __init__(self, path: Path, *, files: int, dirs: int) -> None:
+        self.path = path
+        self.want = (files, dirs)
+        self._files: list[_Spare] = []
+        self._dirs: list[_Spare] = []
+
+    def stock(self) -> None:
+        """Top the stock up. An inode that cannot be made now is made in
+        place later, where its error surfaces."""
+        files, dirs = self.want
+        try:
+            while len(self._files) < files:
+                self._files.append(self._make_file())
+            while len(self._dirs) < dirs:
+                self._dirs.append(self._make_dir())
+        except OSError:
+            pass
+
+    def file(self) -> Optional[tuple[Path, int]]:
+        """A stocked empty file and a write descriptor on it, or None; the
+        caller closes the descriptor and renames or links the file away."""
+        spare = self._take(self._files)
+        return None if spare is None else (spare.path, spare.fd)
+
+    def directory(self) -> Optional[Path]:
+        """A stocked empty directory for the caller to rename away, or None."""
+        spare = self._take(self._dirs)
+        if spare is None:
+            return None
+        os.close(spare.fd)
+        return spare.path
+
+    def clear(self) -> None:
+        """Remove every spare still in stock."""
+        for stock in (self._files, self._dirs):
+            while stock:
+                _drop(stock.pop())
+
+    def purge(self) -> None:
+        """Clear the stock and empty the directory of the spares that killed
+        processes left; only for a caller that knows none is in use."""
+        self.clear()
+        shutil.rmtree(self.path, ignore_errors=True)
+        self.path.mkdir(exist_ok=True)
+
+    def _take(self, stock: list[_Spare]) -> Optional[_Spare]:
+        while True:
+            try:
+                spare = stock.pop()
+            except IndexError:
+                return None
+            try:
+                if _inode(os.lstat(spare.path)) == spare.inode:
+                    return spare
+            except OSError:
+                pass
+            _drop(spare)
+
+    def _make_file(self) -> _Spare:
+        path = self.path / _unique_name()
+        fd = _new_file(path)
+        return _Spare(path, fd, _inode(os.fstat(fd)))
+
+    def _make_dir(self) -> _Spare:
+        path = self.path / f"{_unique_name()}.d"
+        os.mkdir(path)
+        fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+        return _Spare(path, fd, _inode(os.fstat(fd)))
+
+
+def _drop(spare: _Spare) -> None:
+    """Close a spare and unlink its name, whatever that names by now."""
+    os.close(spare.fd)
+    try:
+        os.unlink(spare.path)
+    except IsADirectoryError:
+        with suppress(OSError):
+            os.rmdir(spare.path)
+    except OSError:
+        pass

@@ -28,6 +28,13 @@ instances on one instance directory:
   spool_request rings it for a new request, and the anchor supervisor once
   anchor_exit.json is durable, so --until-done stops as soon as the anchor
   has exited. A missing or lost ring only falls back to polling.
+- A serve takes every temp file and stage directory of a request from its
+  stock of spares in spare/ (see fsutil.Spares). When the stock is empty
+  it makes them in place, as every other verb does. A loop stocks only
+  after a scan found the spool empty, just before it waits on the FIFO,
+  never between a claim and its response; the stock holds one request's
+  worth (a directory and four files) per worker. run() removes the unused
+  spares whichever way it ends, and recover those a killed serve left.
 
 Fail-fast policy: a stage that reports a nonzero rc emits a TEE-error
 termination event and drives the instance record to Failed. That is the
@@ -63,7 +70,7 @@ from .errors import (
     StageNotFound,
     warn,
 )
-from .fsutil import read_json, remove_if_exists
+from .fsutil import Spares, read_json, remove_if_exists
 from .lifecycle import (
     CompositeStateRecord,
     EventSource,
@@ -204,6 +211,10 @@ class ServeLoop:
         # accepts.log; advanced only under the session lock.
         self._session = sd.load_session_params()
         self._journal_pos = 0
+        sd.spare_dir.mkdir(exist_ok=True)
+        # Per worker, one request's worth: its stage directory, and the temp
+        # files of its started marker, run.log, meta.json and response.
+        self.spares = Spares(sd.spare_dir, files=4 * self.workers, dirs=self.workers)
 
     # -- stopping -------------------------------------------------------------
 
@@ -264,8 +275,8 @@ class ServeLoop:
     def _bind(self, req: StageRequest, claimed: Path, claimed_at: float) -> WorkItem:
         """Bind an accepted request to the stage its (epoch, seq) names; the
         started marker is durable before any backend side effect."""
-        eid = self.sd.allocate_eid(req.epoch, req.seq)
-        self.sd.write_started_marker(req.request_id, eid, req.stage)
+        eid = self.sd.allocate_eid(req.epoch, req.seq, self.spares)
+        self.sd.write_started_marker(req.request_id, eid, req.stage, self.spares)
         crash_if("execute:post-marker")
         return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at)
 
@@ -282,7 +293,7 @@ class ServeLoop:
         )
         if not self.sd.has_response(request_id):
             try:
-                self.sd.spool_response(request_id, response_to_envelope(resp))
+                self.sd.spool_response(request_id, response_to_envelope(resp), self.spares)
             except ExactlyOnceViolation:
                 pass  # a replayed request already has its rejection on disk
         remove_if_exists(claimed)
@@ -360,7 +371,7 @@ class ServeLoop:
             evidence_extra=dict(evidence.extra) if evidence else None,
         )
         crash_if("finalize:pre-meta")
-        self.sd.write_stage_record(eid, record, stdout)
+        self.sd.write_stage_record(eid, record, stdout, self.spares)
         crash_if("finalize:post-meta")
         self._write_stage_response(req.request_id, record, stdout)
         self._cleanup_claim(req.request_id, item.claimed_path)
@@ -382,7 +393,7 @@ class ServeLoop:
             eid=record.eid,
             output=output,
         )
-        self.sd.spool_response(request_id, response_to_envelope(resp))
+        self.sd.spool_response(request_id, response_to_envelope(resp), self.spares)
 
     def _cleanup_claim(self, request_id: str, claimed_path: Path) -> None:
         remove_if_exists(self.sd.started_marker_path(request_id))
@@ -421,13 +432,14 @@ class ServeLoop:
         """Serve until the mode's exit condition; returns the summary.
 
         Runs ``workers`` copies of one loop in threads: drain the wake FIFO,
-        check whether to stop, process_next(), and after an empty scan wait
-        on the FIFO for at most poll_interval. Modes: "until-idle" (each loop
-        ends after idle_polls empty scans in a row, serve once all have),
-        "until-done" (a loop finds the spool empty after the anchor exited),
-        "forever" (until stop signal or the instance goes terminal). A stop
-        one loop sees, or an exception it raises, ends every loop; the first
-        reason wins, and run() raises the first exception again.
+        check whether to stop, process_next(), and after an empty scan stock
+        spares and wait on the FIFO for at most poll_interval. Modes:
+        "until-idle" (each loop ends after idle_polls empty scans in a row,
+        serve once all have), "until-done" (a loop finds the spool empty
+        after the anchor exited), "forever" (until stop signal or the
+        instance goes terminal). A stop one loop sees, or an exception it
+        raises, ends every loop; the first reason wins, and run() raises the
+        first exception again.
         """
         if mode not in ("until-idle", "until-done", "forever"):
             raise IllegalStateError(f"unknown serve mode {mode!r}")
@@ -473,6 +485,7 @@ class ServeLoop:
                     if mode == "until-done" and self.sd.read_anchor_exit() is not None:
                         stop("done")
                         return
+                    self.spares.stock()
                     select.select(bell, [], [], self.poll_interval)
             except BaseException as exc:  # re-raised by run() once every loop ended
                 errors.append(exc)
@@ -490,6 +503,8 @@ class ServeLoop:
                 for t in threads:
                     t.join()
                 raise
+            finally:
+                self.spares.clear()
         if errors:
             raise errors[0]
         summary.stop_reason = summary.stop_reason or "idle"
@@ -509,6 +524,8 @@ class ServeLoop:
         - started marker, no record     -> ambiguous execution: fail safely
         - journalled, no started marker -> resume the pipeline (runs once)
         - never journalled              -> requeue for fresh validation
+
+        It first removes the spares that killed serve instances left.
         """
         actions: list[dict] = []
         try:
@@ -517,7 +534,9 @@ class ServeLoop:
         except BlockingIOError:
             raise IllegalStateError(f"{self.sd.cid}: serve instances are active; cannot recover")
         try:
-            # No serve instance runs, so nothing appends to the journal.
+            # No serve instance runs, so nothing appends to the journal and
+            # every spare on disk is a killed serve's.
+            self.spares.purge()
             self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
             for claimed in self.sd.claimed_requests():
                 request_id = claimed.stem
@@ -587,7 +606,7 @@ class ServeLoop:
                 failure_reason="recovery_ambiguous",
                 timings={"claimed_at": marker.get("ts", now), "finished_at": now},
             )
-            self.sd.write_stage_record(marker["eid"], record, b"")
+            self.sd.write_stage_record(marker["eid"], record, b"", self.spares)
             self._write_stage_response(request_id, record, b"")
             self._cleanup_claim(request_id, claimed)
             if self.fail_fast:

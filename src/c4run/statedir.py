@@ -25,6 +25,10 @@ Layout under ``<root>/<cid>/``:
     wake                  FIFO doorbell: spool_request and the anchor
                           supervisor ring it, serve waits on it (made by
                           serve, not by create)
+    spare/                serve's stock of empty files and directories,
+                          made while it is idle and renamed or linked into
+                          place as temp files and enclaves/<EID> (made by
+                          serve, emptied when it stops and by recover)
     *.lock                advisory lock files, one per mutable object
 
 Everything here is *coordination* state: nothing in this module derives a
@@ -318,6 +322,10 @@ class StateDir:
     def wake_path(self) -> Path:
         return self.path / "wake"
 
+    @property
+    def spare_dir(self) -> Path:
+        return self.path / "spare"
+
     def _lock_path(self, name: str) -> Path:
         return self.path / f"{name}.lock"
 
@@ -582,16 +590,25 @@ class StateDir:
 
     # -- stage identifiers --------------------------------------------------
 
-    def allocate_eid(self, epoch: int, seq: int) -> str:
+    def allocate_eid(self, epoch: int, seq: int, spares: Optional[fsutil.Spares] = None) -> str:
         """Name the stage of the accepted request (epoch, seq) and create its
-        directory.
+        directory, by renaming a stocked spare directory into place if there
+        is one.
 
         An existing directory is reused: a crash between this mkdir and the
         started marker leaves it empty (meta.json and backend work files
         only appear after the marker), and recovery binds the same name.
         """
         eid = f"{EID_PREFIX}{epoch}-{seq}"
-        self.enclave_dir(eid).mkdir(exist_ok=True)
+        path = self.enclave_dir(eid)
+        spare = spares.directory() if spares is not None else None
+        if spare is not None:
+            try:
+                os.rename(spare, path)  # also replaces an empty directory
+                return eid
+            except OSError:
+                os.rmdir(spare)
+        path.mkdir(exist_ok=True)
         return eid
 
     # -- spool ------------------------------------------------------------
@@ -686,10 +703,13 @@ class StateDir:
     def claimed_requests(self) -> list[Path]:
         return sorted(self.claimed_dir.glob("*.req"))
 
-    def write_started_marker(self, request_id: str, eid: str, stage: str) -> None:
+    def write_started_marker(
+        self, request_id: str, eid: str, stage: str, spares: Optional[fsutil.Spares] = None
+    ) -> None:
         fsutil.atomic_write_json(
             self.started_marker_path(request_id),
             {"request_id": request_id, "eid": eid, "stage": stage, "ts": time.time()},
+            spares,
         )
 
     def read_started_marker(self, request_id: str) -> Optional[dict]:
@@ -714,7 +734,9 @@ class StateDir:
 
     # -- stage records and responses ---------------------------------------
 
-    def write_stage_record(self, eid: str, record: StageRecord, log_bytes: bytes) -> None:
+    def write_stage_record(
+        self, eid: str, record: StageRecord, log_bytes: bytes, spares: Optional[fsutil.Spares] = None
+    ) -> None:
         """Persist run.log then meta.json, both write-once.
 
         meta.json is the durable "executed" commitment: recovery treats its
@@ -730,10 +752,10 @@ class StateDir:
             raise ContractViolation("stage record bound to a different instance")
         if self.meta_path(eid).exists():
             raise ExactlyOnceViolation(f"meta.json already written for {eid}")
-        fsutil.atomic_write_bytes(self.run_log_path(eid), log_bytes)
+        fsutil.atomic_write_bytes(self.run_log_path(eid), log_bytes, spares)
         crash_if("finalize:post-log")
         payload = (fsutil.json_canonical(record.to_json()) + "\n").encode()
-        fsutil.write_once_bytes(self.meta_path(eid), payload)
+        fsutil.write_once_bytes(self.meta_path(eid), payload, spares)
 
     def read_stage_record(self, eid: str) -> StageRecord:
         obj = fsutil.read_json(self.meta_path(eid), "meta.json")
@@ -754,11 +776,11 @@ class StateDir:
                 out.append(self.read_stage_record(eid))
         return out
 
-    def spool_response(self, request_id: str, envelope: dict) -> Path:
+    def spool_response(self, request_id: str, envelope: dict, spares: Optional[fsutil.Spares] = None) -> Path:
         """Write-once response file; the visible commit point for the anchor."""
         path = self.response_path(request_id)
         crash_if("response:pre-write")
-        fsutil.write_once_bytes(path, (fsutil.json_canonical(envelope) + "\n").encode())
+        fsutil.write_once_bytes(path, (fsutil.json_canonical(envelope) + "\n").encode(), spares)
         crash_if("response:post-write")
         return path
 

@@ -626,3 +626,93 @@ def test_missing_journal_stops_serve_before_a_second_execution(running_instance)
     assert proc.returncode == CorruptStateError.exit_code, proc.stderr
     assert "accepts.log is missing" in proc.stderr
     assert [r["request_id"] for r in load_receipts(sd.receipts_path)] == [req.request_id]
+
+
+def _spare_inodes(sd: StateDir) -> set:
+    return {os.lstat(sd.spare_dir / name).st_ino for name in os.listdir(sd.spare_dir)}
+
+
+def test_a_stocked_request_makes_no_inode(running_instance):
+    sd = running_instance
+    (req,) = _spool(sd)
+    loop = ServeLoop(sd, workers=1)
+    loop.spares.stock()
+    stocked = _spare_inodes(sd)
+    assert len(stocked) == 5  # a stage directory and four temp files
+
+    result = loop.process_next()
+    assert result.terminal is StagePipelineState.COMPLETED
+    made = (
+        sd.enclave_dir(result.eid),
+        sd.run_log_path(result.eid),
+        sd.meta_path(result.eid),
+        sd.response_path(req.request_id),
+    )
+    assert {path.lstat().st_ino for path in made} <= stocked
+    assert os.listdir(sd.spare_dir) == []  # the started marker took the fifth
+
+
+@pytest.mark.parametrize("ending", ["idle", "done", "terminal", "error"])
+def test_run_removes_its_spares_whichever_way_it_ends(root, sim_bundle, running_instance, ending):
+    sd = running_instance
+    if ending == "done":  # the reference anchor spools 4 requests and exits
+        runtime.cmd_create(root, "done", sim_bundle)
+        runtime.cmd_start(root, "done")
+        sd = StateDir(root, "done")
+    loop = ServeLoop(sd, workers=2, poll_interval=0.05, idle_polls=2)
+    if ending == "error":
+        scans = itertools.count()
+        pending_requests = sd.pending_requests
+
+        def third_scan_fails():
+            if next(scans) == 2:
+                raise CorruptStateError("injected")
+            return pending_requests()
+
+        sd.pending_requests = third_scan_fails
+    else:
+        loop.spares.stock()
+    if ending == "terminal":
+        out = {}
+        t = threading.Thread(target=lambda: out.setdefault("summary", loop.run(mode="forever")))
+        t.start()
+        time.sleep(0.3)
+        sd.update_record_rmw(lambda cur: cur.with_state(L.STOPPED, exit_code=0))
+        t.join(timeout=15)
+        assert out["summary"].stop_reason == "terminal"
+    elif ending == "error":
+        with pytest.raises(CorruptStateError, match="injected"):
+            loop.run(mode="forever")
+    else:
+        mode = "until-done" if ending == "done" else "until-idle"
+        assert loop.run(mode=mode).stop_reason == ending
+    assert os.listdir(sd.spare_dir) == []
+    if ending == "done":
+        runtime.cmd_kill(root, "done", grace_s=3)
+        runtime.cmd_delete(root, "done")
+
+
+def test_a_spare_swapped_for_a_symlink_redirects_nothing(running_instance):
+    # The host replaces every stocked spare's name with a symlink: the files'
+    # to state.json, the directory's to the instance root.
+    sd = running_instance
+    (req,) = _spool(sd)
+    loop = ServeLoop(sd, workers=1)
+    loop.spares.stock()
+    state = sd.state_path.read_bytes()
+    for name in os.listdir(sd.spare_dir):
+        spare = sd.spare_dir / name
+        target = sd.path if spare.is_dir() else sd.state_path
+        (spare.rmdir if spare.is_dir() else spare.unlink)()
+        spare.symlink_to(target)
+
+    result = loop.process_next()
+    assert result.terminal is StagePipelineState.COMPLETED
+    assert sd.state_path.read_bytes() == state
+    for path in (sd.enclave_dir(result.eid), sd.run_log_path(result.eid), sd.meta_path(result.eid),
+                 sd.response_path(req.request_id)):
+        assert not path.is_symlink()
+    assert sd.read_stage_record(result.eid).request_id == req.request_id
+    assert verify_response(_response(sd, req.request_id), sd.load_session(), {req.request_id})
+    assert [r["request_id"] for r in load_receipts(sd.receipts_path)] == [req.request_id]
+    assert os.listdir(sd.spare_dir) == []

@@ -26,6 +26,10 @@ def _spool(sd, stage, n=1, table_ms=None):
     return out
 
 
+def _spares(sd):
+    return os.listdir(sd.spare_dir) if sd.spare_dir.exists() else []
+
+
 def _serve_proc(root, cid, *extra):
     return subprocess.Popen(
         [sys.executable, "-m", "c4run.cli", "--statedir-root", str(root), "serve", cid, *extra],
@@ -70,17 +74,23 @@ def test_sigkilled_serve_mid_stage_recovers_exactly_once(root, tmp_path):
     cfg["c4"]["stage_table"]["sleep"]["ms"] = 5000
     sd.bundle_config_path.write_text(json.dumps(cfg))
 
-    (req,) = _spool(sd, "sleep")
     proc = _serve_proc(root, cid, "--forever", "--workers", "1")
+    # Idle, the one loop stocks a request's worth: a directory and four files.
     deadline = time.monotonic() + 15
+    while time.monotonic() < deadline and len(_spares(sd)) < 5:
+        time.sleep(0.02)
+    assert len(_spares(sd)) == 5
+    (req,) = _spool(sd, "sleep")
     while time.monotonic() < deadline and sd.in_flight_count() == 0:
         time.sleep(0.02)
     assert sd.in_flight_count() == 1
     proc.kill()  # SIGKILL: no cleanup, locks drop with the process
     proc.wait(timeout=10)
+    assert len(_spares(sd)) == 3  # run.log's, meta.json's and the response's
 
     actions = ServeLoop(sd, fail_fast=False).recover()
     assert actions == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
+    assert _spares(sd) == []
     counts = Counter(r["request_id"] for r in load_receipts(sd.receipts_path))
     assert counts.get(req.request_id, 0) <= 1  # never a second execution
     assert sd.has_response(req.request_id)
