@@ -1,8 +1,9 @@
 """Mechanical artifact and state audits.
 
 These implement the invariant checks the correctness metrics are built on:
-every acceptance journal line must parse and name a request id, nonce and
-(epoch, seq) not journalled before in its epoch; per accepted request the
+every acceptance journal line must parse, name a request id, nonce and
+(epoch, seq) not journalled before in its epoch, and sort above the line
+before it by (epoch, seq); per accepted request the
 audit verifies a fresh stage directory, a well-formed record named after its
 request's (epoch, seq), the run log, and exactly one response whose fields
 match the record; the instance record is
@@ -29,7 +30,7 @@ from ..lifecycle import (
 )
 from ..protocol import ResponseStatus, SessionState, response_from_envelope
 from ..runtime import bundle_c_untrusted
-from ..statedir import EID_PREFIX, Acceptance, StateDir
+from ..statedir import Acceptance, StateDir, stage_eid
 
 #: rc values a stage record may carry without an execution receipt
 #: (prepare failures and crash-recovery ambiguity produce no execution).
@@ -73,7 +74,7 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
             continue
         if rec.eid != eid:
             result.flag(f"{eid}: meta.json names {rec.eid}")
-        if rec.eid != f"{EID_PREFIX}{rec.session_epoch}-{rec.session_seq}":
+        if rec.eid != stage_eid(rec.session_epoch, rec.session_seq):
             result.flag(f"{eid}: recorded (epoch, seq) ({rec.session_epoch}, {rec.session_seq}) does not name it")
         if rec.session_cid != sd.cid:
             result.flag(f"{eid}: bound to foreign instance {rec.session_cid}")
@@ -142,11 +143,15 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
 
 
 def _audit_journal(sd: StateDir, session: SessionState, result: AuditResult) -> set[str]:
-    """Flag accepts.log lines that do not parse and any request id, nonce or
-    (epoch, seq) journalled twice in one epoch; the seen sets load_session
-    folds cannot show either. Returns the current epoch's accepted ids."""
+    """Flag accepts.log lines that do not parse, any request id, nonce or
+    (epoch, seq) journalled twice in one epoch, and any other line whose
+    (epoch, seq) is not above the line before it: the session lock orders
+    appends, seq rises within an epoch and epochs only rise. The seen sets
+    load_session folds can show none of these. Returns the current epoch's
+    accepted ids."""
     accepted = set()
     journalled = set()
+    last = None
     try:
         lines, _ = sd.read_accepts()
     except CorruptStateError as exc:
@@ -158,6 +163,10 @@ def _audit_journal(sd: StateDir, session: SessionState, result: AuditResult) -> 
         except ValueError:
             result.flag(f"accepts.log line {n} does not parse: {line!r}")
             continue
+        order = (acc.epoch, acc.seq)
+        if last is not None and order <= last and (acc.epoch, "seq", acc.seq) not in journalled:
+            result.flag(f"accepts.log line {n}: (epoch, seq) {order} is not above the line before it")
+        last = order
         for what, key in (("request id", acc.request_id), ("nonce", acc.nonce.hex()), ("seq", acc.seq)):
             if (acc.epoch, what, key) in journalled:
                 result.flag(f"accepts.log line {n}: {what} {key} journalled twice in epoch {acc.epoch}")

@@ -56,6 +56,8 @@ def _write_tmp(path: Path, data: bytes, spares: Optional[Spares]) -> Path:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
+        if spare is not None and not data:
+            os.utime(fd)  # no write stamped it: its mtime is still the stocking time
         os.fsync(fd)
     finally:
         os.close(fd)

@@ -16,11 +16,12 @@ instances on one instance directory:
   seen. Each serve instance keeps the session in memory, folded from the
   journal once and then from the lines other instances append, so the cost
   of a request does not grow with the epoch.
-- A started marker binds request to stage identifier before the backend is
-  invoked; meta.json is the durable proof that the outcome was recorded.
-  Recovery uses the ladder (response? meta? marker? journalled?) to requeue,
-  resume, replay the response, or fail a claim as ambiguous — never running
-  the backend twice for one accepted request.
+- A request's stage is eid-<epoch>-<seq> of the request. An empty started
+  marker named after it, written before the backend is invoked, says the
+  backend may have been touched; meta.json proves the outcome was recorded.
+  Recovery uses the ladder (response? journalled or marked? meta? marked?)
+  to requeue, replay the response, fail a claim as ambiguous or resume it
+  — never running the backend twice for one accepted request.
 - A serve with N workers runs N copies of one loop in threads, which
   coordinate through the session lock and the claim rename exactly as N
   serve processes do; the thread that claims a request executes it.
@@ -91,7 +92,7 @@ from .protocol import (
     validate_request,
 )
 from .record import Record
-from .statedir import StageRecord, StateDir
+from .statedir import StageRecord, StateDir, request_epoch_seq, stage_eid
 
 PREPARE_FAILED_RC = 126
 STAGE_NOT_FOUND_RC = 127
@@ -276,7 +277,7 @@ class ServeLoop:
         """Bind an accepted request to the stage its (epoch, seq) names; the
         started marker is durable before any backend side effect."""
         eid = self.sd.allocate_eid(req.epoch, req.seq, self.spares)
-        self.sd.write_started_marker(req.request_id, eid, req.stage, self.spares)
+        self.sd.write_started_marker(req.request_id, self.spares)
         crash_if("execute:post-marker")
         return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at)
 
@@ -310,15 +311,7 @@ class ServeLoop:
             handle = self.adapter.prepare(self.sd.cid, eid, req.stage)
         except (StageNotFound, PrepareFailed, C4Error) as exc:
             rc = STAGE_NOT_FOUND_RC if isinstance(exc, StageNotFound) else PREPARE_FAILED_RC
-            return self._finalize_outcome(
-                item,
-                rc=rc,
-                stdout=b"",
-                evidence=None,
-                timings=timings,
-                failure_reason=f"prepare:{exc}",
-                cancelled=False,
-            )
+            return self._finalize_outcome(item, rc=rc, timings=timings, failure_reason=f"prepare:{exc}")
         timings["prepared_at"] = time.time()
         try:
             timings["executing_at"] = time.time()
@@ -334,7 +327,6 @@ class ServeLoop:
             evidence=outcome.evidence,
             timings=timings,
             failure_reason="cancelled" if cancelled else ("timeout" if outcome.rc == TIMEOUT_RC else None),
-            cancelled=cancelled,
         )
 
     def _finalize_outcome(
@@ -342,11 +334,10 @@ class ServeLoop:
         item: WorkItem,
         *,
         rc: int,
-        stdout: bytes,
-        evidence,
         timings: dict,
         failure_reason: Optional[str],
-        cancelled: bool,
+        stdout: bytes = b"",
+        evidence=None,
     ) -> PipelineResult:
         req, eid = item.req, item.eid
         timings["finished_at"] = time.time()
@@ -373,10 +364,7 @@ class ServeLoop:
         crash_if("finalize:pre-meta")
         self.sd.write_stage_record(eid, record, stdout, self.spares)
         crash_if("finalize:post-meta")
-        self._write_stage_response(req.request_id, record, stdout)
-        self._cleanup_claim(req.request_id, item.claimed_path)
-        if rc != 0 and not cancelled and self.fail_fast:
-            self._fail_fast(eid, rc)
+        self._respond(record, stdout, item.claimed_path)
         return PipelineResult(
             request_id=req.request_id,
             terminal=StagePipelineState.COMPLETED if rc == 0 else StagePipelineState.FAILED,
@@ -384,16 +372,21 @@ class ServeLoop:
             rc=rc,
         )
 
-    def _write_stage_response(self, request_id: str, record: StageRecord, output: bytes) -> None:
+    def _respond(self, record: StageRecord, output: bytes, claimed_path: Path) -> None:
+        """Answer a recorded stage and retire its claim; then a failure other
+        than a cancellation fails fast."""
         resp = build_response(
             self._session,
-            request_id,
+            record.request_id,
             rc=record.rc,
             status=ResponseStatus.COMPLETED if record.status == "completed" else ResponseStatus.FAILED,
             eid=record.eid,
             output=output,
         )
-        self.sd.spool_response(request_id, response_to_envelope(resp), self.spares)
+        self.sd.spool_response(record.request_id, response_to_envelope(resp), self.spares)
+        self._cleanup_claim(record.request_id, claimed_path)
+        if record.rc != 0 and record.failure_reason != "cancelled" and self.fail_fast:
+            self._fail_fast(record.eid, record.rc)
 
     def _cleanup_claim(self, request_id: str, claimed_path: Path) -> None:
         remove_if_exists(self.sd.started_marker_path(request_id))
@@ -517,15 +510,17 @@ class ServeLoop:
         """Reconcile the claimed directory after a crash.
 
         Requires that no live serve instance holds the serve lock. For each
-        claimed request, exactly one of:
+        claimed request, the first of:
 
         - response exists               -> clean up claim bookkeeping
+        - neither marker nor journalled -> requeue for fresh validation
         - stage record exists           -> replay the response from it
         - started marker, no record     -> ambiguous execution: fail safely
         - journalled, no started marker -> resume the pipeline (runs once)
-        - never journalled              -> requeue for fresh validation
 
-        It first removes the spares that killed serve instances left.
+        A claim whose id or envelope names no request this instance can
+        have accepted is dropped. It first removes the spares that killed
+        serve instances left.
         """
         actions: list[dict] = []
         try:
@@ -539,78 +534,65 @@ class ServeLoop:
             self.spares.purge()
             self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
             for claimed in self.sd.claimed_requests():
-                request_id = claimed.stem
-                action = self._recover_one(claimed, request_id)
-                actions.append({"request_id": request_id, "action": action})
-            for marker in self.sd.started_markers():
+                actions.append({"request_id": claimed.stem, "action": self._recover_one(claimed)})
+            for request_id in self.sd.started_markers():
                 # A marker without its claimed file means the crash hit the
                 # cleanup step itself; the response exists, so just finish.
-                if not self.sd.claimed_path(marker["request_id"]).exists():
-                    remove_if_exists(self.sd.started_marker_path(marker["request_id"]))
+                if not self.sd.claimed_path(request_id).exists():
+                    remove_if_exists(self.sd.started_marker_path(request_id))
         finally:
             lock_ctx.__exit__(None, None, None)
         return actions
 
-    def _recover_one(self, claimed: Path, request_id: str) -> str:
+    def _recover_one(self, claimed: Path) -> str:
+        request_id = claimed.stem
         if self.sd.has_response(request_id):
             self._cleanup_claim(request_id, claimed)
             return "cleaned"
 
-        # meta.json is only written while the started marker exists, and the
-        # marker only goes once the response is written: a claim with a
-        # record but no response always still has its marker.
-        marker = self.sd.read_started_marker(request_id)
-        record = None
-        if marker is not None and self.sd.meta_path(marker["eid"]).exists():
-            record = self.sd.read_stage_record(marker["eid"])
-
-        if record is not None:
-            # Executed and recorded; regenerate the byte-identical response.
-            output = self.sd.run_log_path(record.eid).read_bytes()
-            self._write_stage_response(request_id, record, output)
-            self._cleanup_claim(request_id, claimed)
-            if record.rc != 0 and record.failure_reason != "cancelled" and self.fail_fast:
-                self._fail_fast(record.eid, record.rc)
-            return "response_replayed"
-
-        if marker is None and request_id not in self._session.seen_request_ids:
+        # A marked claim is never requeued: its marker is a second witness of
+        # the acceptance, should the journal have lost the line.
+        try:
+            touched_at = self.sd.started_marker_path(request_id).stat().st_mtime
+        except FileNotFoundError:
+            touched_at = None
+        if touched_at is None and request_id not in self._session.seen_request_ids:
             self.sd.requeue_claimed(claimed)
             return "requeued"
 
-        # Accepted: the claimed envelope carries the (epoch, seq) that named
-        # the stage.
+        try:
+            eid = stage_eid(*request_epoch_seq(request_id))
+        except ValueError:
+            remove_if_exists(claimed)  # validate_request binds every accepted id
+            return "dropped_malformed"
+        if self.sd.meta_path(eid).exists():
+            # Executed and recorded; regenerate the byte-identical response,
+            # unless the stage of its (epoch, seq) is another request's.
+            record = self.sd.read_stage_record(eid)
+            if record.request_id != request_id:
+                remove_if_exists(claimed)
+                return "dropped_malformed"
+            self._respond(record, self.sd.run_log_path(eid).read_bytes(), claimed)
+            return "response_replayed"
+
         try:
             req = request_from_envelope(read_json(claimed, "request envelope"))
+            if (req.request_id, stage_eid(req.epoch, req.seq)) != (request_id, eid):
+                raise ValueError("the envelope is another request's")
         except (ValueError, CorruptStateError):
             remove_if_exists(claimed)
             return "dropped_malformed"
 
-        if marker is not None:
-            # Execution may or may not have started; never run it again.
-            now = time.time()
-            record = StageRecord(
-                eid=marker["eid"],
-                stage=marker.get("stage", ""),
-                request_id=request_id,
-                backend=self.adapter.backend_id,
-                tee_type=self.adapter.tee_type,
+        if touched_at is not None:
+            # The backend may have been touched; never run it again. The bind
+            # did not fsync enclaves/, so its directory may be gone.
+            eid = self.sd.allocate_eid(req.epoch, req.seq, self.spares)
+            self._finalize_outcome(
+                WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=touched_at),
                 rc=RECOVERY_AMBIGUOUS_RC,
-                status="failed",
-                started_at=marker.get("ts", now),
-                finished_at=now,
-                evidence_type="none",
-                measurement_hash="",
-                session_cid=self.sd.cid,
-                session_epoch=req.epoch,
-                session_seq=req.seq,
+                timings={"claimed_at": touched_at},
                 failure_reason="recovery_ambiguous",
-                timings={"claimed_at": marker.get("ts", now), "finished_at": now},
             )
-            self.sd.write_stage_record(marker["eid"], record, b"", self.spares)
-            self._write_stage_response(request_id, record, b"")
-            self._cleanup_claim(request_id, claimed)
-            if self.fail_fast:
-                self._fail_fast(marker["eid"], RECOVERY_AMBIGUOUS_RC)
             return "failed_ambiguous"
 
         # Journalled but no started marker; requeueing would self-reject as a

@@ -8,7 +8,8 @@ Layout under ``<root>/<cid>/``:
     accepts.log           acceptance journal, one line per accepted request
                           (``<request_id> <nonce_hex>``), under the session lock
     requests/             pending request files <request_id>.req
-    requests/claimed/     claimed request files (+ .started markers)
+    requests/claimed/     claimed request files; an empty <request_id>.started
+                          says the request's backend may have been touched
     responses/            response files <request_id>.resp
     enclaves/<EID>/       per-stage meta.json + run.log; EID is
                           eid-<epoch>-<seq> of the accepted request
@@ -99,7 +100,17 @@ from .protocol import SCHEMA_VERSION, SessionState, StageRequest, commit_accepta
 from .record import Record
 
 MARKER_NAME = "created.ok"
-EID_PREFIX = "eid-"
+
+
+def stage_eid(epoch: int, seq: int) -> str:
+    """The one name of the stage of the accepted request (epoch, seq)."""
+    return f"eid-{epoch}-{seq}"
+
+
+def request_epoch_seq(request_id: str) -> tuple[int, int]:
+    """The (epoch, seq) of an ``<epoch>-<seq>-`` id; ValueError otherwise."""
+    epoch, seq, _ = request_id.split("-", 2)
+    return int(epoch), int(seq)
 
 
 class StageRecord(Record):
@@ -183,8 +194,7 @@ class Acceptance(NamedTuple):
     def parse(cls, line: bytes) -> "Acceptance":
         """Parse a line without its newline; ValueError if malformed."""
         request_id, nonce_hex = line.decode().split(" ")
-        epoch, seq, _ = request_id.split("-", 2)
-        return cls(request_id, bytes.fromhex(nonce_hex), int(epoch), int(seq))
+        return cls(request_id, bytes.fromhex(nonce_hex), *request_epoch_seq(request_id))
 
 
 def record_to_json(rec: CompositeStateRecord) -> dict:
@@ -235,9 +245,9 @@ def event_from_json(obj: dict) -> TerminationEvent:
 class StateDir:
     """Handle on one instance's directory tree.
 
-    Handles are cheap and not shared across threads; every caller opens its
-    own. Cross-process consistency comes from lock files, atomic rename,
-    and the version CAS, not from in-process synchronization.
+    A handle holds only ``cid`` and ``path``: cheap, and safe to share across
+    threads, as a serve's loops do. Consistency comes from lock files,
+    atomic rename, and the version CAS, not from in-process synchronization.
     """
 
     def __init__(self, root: Path, cid: str) -> None:
@@ -599,7 +609,7 @@ class StateDir:
         started marker leaves it empty (meta.json and backend work files
         only appear after the marker), and recovery binds the same name.
         """
-        eid = f"{EID_PREFIX}{epoch}-{seq}"
+        eid = stage_eid(epoch, seq)
         path = self.enclave_dir(eid)
         spare = spares.directory() if spares is not None else None
         if spare is not None:
@@ -675,10 +685,9 @@ class StateDir:
         is what lets the serve loop accept in sequence order.
         """
         def key(p: Path) -> tuple:
-            parts = p.stem.split("-", 2)
             try:
-                return (0, int(parts[0]), int(parts[1]), p.name)
-            except (ValueError, IndexError):
+                return (0, *request_epoch_seq(p.stem), p.name)
+            except ValueError:
                 return (1, 0, 0, p.name)
 
         return sorted(self.requests_dir.glob("*.req"), key=key)
@@ -703,34 +712,23 @@ class StateDir:
     def claimed_requests(self) -> list[Path]:
         return sorted(self.claimed_dir.glob("*.req"))
 
-    def write_started_marker(
-        self, request_id: str, eid: str, stage: str, spares: Optional[fsutil.Spares] = None
-    ) -> None:
-        fsutil.atomic_write_json(
-            self.started_marker_path(request_id),
-            {"request_id": request_id, "eid": eid, "stage": stage, "ts": time.time()},
-            spares,
-        )
+    def write_started_marker(self, request_id: str, spares: Optional[fsutil.Spares] = None) -> None:
+        """An empty file: its name alone says the request's backend may now
+        be touched."""
+        fsutil.atomic_write_bytes(self.started_marker_path(request_id), b"", spares)
 
-    def read_started_marker(self, request_id: str) -> Optional[dict]:
-        path = self.started_marker_path(request_id)
-        try:
-            return fsutil.read_json(path, "started marker")
-        except FileNotFoundError:
-            return None
-
-    def started_markers(self) -> list[dict]:
-        out = []
-        for p in sorted(self.claimed_dir.glob("*.started")):
-            try:
-                out.append(fsutil.read_json(p, "started marker"))
-            except (FileNotFoundError, CorruptStateError):
-                continue
-        return out
+    def started_markers(self) -> list[str]:
+        """The ids of the requests that have a started marker."""
+        return [p.stem for p in sorted(self.claimed_dir.glob("*.started"))]
 
     def in_flight_count(self) -> int:
-        """Stages bound to an identifier but not yet recorded terminal."""
-        return sum(1 for m in self.started_markers() if not self.meta_path(m["eid"]).exists())
+        """Marked stages not yet recorded; a marker named after no
+        ``<epoch>-<seq>-`` id counts as none."""
+        eids = []
+        for request_id in self.started_markers():
+            with suppress(ValueError):
+                eids.append(stage_eid(*request_epoch_seq(request_id)))
+        return sum(1 for eid in eids if not self.meta_path(eid).exists())
 
     # -- stage records and responses ---------------------------------------
 

@@ -82,6 +82,20 @@ def test_audit_flags_a_journal_line_written_twice(root, sim_bundle):
     runtime.cmd_delete(root, "a7")
 
 
+def test_audit_flags_journal_lines_out_of_order(root, sim_bundle):
+    # Appends happen under the session lock with a rising seq, so the
+    # journal is sorted by (epoch, seq).
+    sd = _healthy_round(root, sim_bundle, "a9")
+    lines = sd.accepts_path.read_bytes().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    sd.accepts_path.write_bytes(b"".join(lines))
+    moved = Acceptance.parse(lines[2].rstrip(b"\n"))
+    assert audit_artifacts(sd).violations == [
+        f"accepts.log line 3: (epoch, seq) {(moved.epoch, moved.seq)} is not above the line before it"
+    ]
+    runtime.cmd_delete(root, "a9")
+
+
 def test_audit_flags_a_journal_line_that_does_not_parse(root, sim_bundle):
     sd = _healthy_round(root, sim_bundle, "a8")
     lines = sd.accepts_path.read_bytes().splitlines(keepends=True)

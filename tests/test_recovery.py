@@ -1,9 +1,12 @@
 import ast
+import json
+import os
+import time
 from pathlib import Path
 
 import pytest
 
-from c4run import runtime
+from c4run import cli, runtime
 from c4run.backends import load_receipts
 from c4run.crashpoints import CRASH_POINTS, InjectedCrash, armed
 from c4run.errors import IllegalStateError
@@ -136,6 +139,75 @@ def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
     assert (record.session_epoch, record.session_seq) == (req.epoch, req.seq)
     ipr = audit_artifacts(sd)
     assert ipr.passed, ipr.violations
+
+
+@pytest.mark.parametrize("body", [b"{}", b"[]", b"\x00not json"], ids=["object", "list", "bytes"])
+def test_a_started_markers_body_crashes_nothing(running_instance, body, capsys):
+    # The marker is host state; only its name is read.
+    sd = running_instance
+    req = _spool_one(sd)
+    _crash_at(sd, "execute:pre-backend")
+    sd.started_marker_path(req.request_id).write_bytes(body)
+    for verb in (["state", sd.cid], ["kill", sd.cid, "--grace", "0.2"]):
+        assert cli.main(["--statedir-root", str(sd.path.parent), *verb]) in range(6)
+        assert "Traceback" not in capsys.readouterr().err
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
+    assert _executions(sd, req.request_id) == 0
+
+
+def test_a_started_marker_cannot_bind_another_stages_outcome(running_instance):
+    sd = running_instance
+    first = _spool_one(sd, stage="fail")
+    ServeLoop(sd, workers=1).process_next()
+    earlier = find_stage_record(sd, first.request_id)
+    assert (earlier.eid, earlier.rc) == ("eid-1-0", 7)
+    before = sd.meta_path(earlier.eid).read_bytes(), sd.response_path(first.request_id).read_bytes()
+    req = _spool_one(sd)
+    _crash_at(sd, "execute:pre-backend")
+    forged = {"request_id": req.request_id, "eid": earlier.eid, "stage": "fail", "ts": time.time()}
+    sd.started_marker_path(req.request_id).write_text(json.dumps(forged))
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
+    resp = response_from_envelope(read_json(sd.response_path(req.request_id), "response"))
+    assert (resp.eid, resp.rc) == (f"eid-{req.epoch}-{req.seq}", RECOVERY_AMBIGUOUS_RC)
+    assert find_stage_record(sd, req.request_id).eid == resp.eid
+    assert (sd.meta_path(earlier.eid).read_bytes(), sd.response_path(first.request_id).read_bytes()) == before
+
+
+def test_a_claim_whose_stage_records_another_request_is_dropped(running_instance):
+    # A planted claim and marker whose id shares a recorded request's
+    # (epoch, seq) cannot have been accepted: nothing answers it.
+    sd = running_instance
+    first = _spool_one(sd)
+    ServeLoop(sd, workers=1).process_next()
+    earlier = find_stage_record(sd, first.request_id)
+    meta = sd.meta_path(earlier.eid).read_bytes()
+    planted = f"{first.epoch}-{first.seq}-deadbeef"
+    sd.claimed_path(planted).write_bytes(b"{}")
+    sd.write_started_marker(planted)
+
+    assert ServeLoop(sd).recover() == [{"request_id": planted, "action": "dropped_malformed"}]
+    assert not sd.has_response(planted) and sd.meta_path(earlier.eid).read_bytes() == meta
+    assert sd.claimed_requests() == [] and sd.started_markers() == []
+
+
+def test_an_ambiguous_record_is_stamped_when_its_marker_was_written(running_instance):
+    # The marker is written into a spare stocked earlier: its mtime must
+    # still be the time of the write.
+    sd = running_instance
+    req = _spool_one(sd)
+    loop = ServeLoop(sd, workers=1)
+    loop.spares.stock()
+    for name in os.listdir(sd.spare_dir):
+        os.utime(sd.spare_dir / name, (1.0, 1.0))
+    before = time.time()
+    with pytest.raises(InjectedCrash):
+        with armed("execute:pre-backend"):
+            loop.process_next()
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
+    record = find_stage_record(sd, req.request_id)
+    assert record.started_at == record.timings["claimed_at"] >= before - 1.0
 
 
 def test_crash_after_meta_replays_response_byte_identically(running_instance):

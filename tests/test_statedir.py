@@ -196,6 +196,18 @@ def test_write_stage_record_once_and_reads_back(root, sim_bundle):
     assert find_stage_record(sd, "missing") is None
 
 
+def test_started_markers_are_empty_and_counted_by_name(root, sim_bundle):
+    sd = _init(root, sim_bundle)
+    for request_id in ("1-0-aaaaaaaa", "1-1-bbbbbbbb", "not-an-id"):
+        sd.write_started_marker(request_id)
+    assert sd.started_marker_path("1-0-aaaaaaaa").read_bytes() == b""
+    assert sd.started_markers() == ["1-0-aaaaaaaa", "1-1-bbbbbbbb", "not-an-id"]
+    eid = sd.allocate_eid(1, 0)
+    sd.write_stage_record(eid, _stage_record(sd, eid), b"")
+    # 1-0's stage is recorded and "not-an-id" names no stage: 1-1's is in flight
+    assert sd.in_flight_count() == 1
+
+
 def test_stage_record_requires_terminal_status(root, sim_bundle):
     with pytest.raises(ContractViolation):
         StageRecord(
