@@ -2,20 +2,20 @@
 
 The pipeline engine talks to backends only through prepare/execute/destroy
 and the outcome type below; nothing backend-specific leaks upward. Every
-execute call is journaled to an append-only receipts file before any work
-happens, which is the instrumentation the exactly-once audits count.
+execute call is journaled to the receipts journal (fsutil.append_line,
+under a flock on the journal itself) before any work happens, which is the
+instrumentation the exactly-once audits count.
 """
 
 from __future__ import annotations
 
-import fcntl
 import os
 import time
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from .. import fsutil
 from ..errors import BackendHandleInvalid
-from ..fsutil import json_canonical
 from ..protocol import StageRequest
 
 CancelCheck = Callable[[], bool]
@@ -115,7 +115,7 @@ class AdapterBase:
     def _write_receipt(self, handle: BackendHandle, request: StageRequest) -> None:
         if self.receipts_path is None:
             return
-        line = json_canonical(
+        line = fsutil.json_canonical(
             {
                 "request_id": request.request_id,
                 "eid": handle.eid,
@@ -124,13 +124,8 @@ class AdapterBase:
                 "ts": time.time(),
             }
         )
-        fd = os.open(self.receipts_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            os.write(fd, (line + "\n").encode())
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        with fsutil.locked(self.receipts_path):
+            fsutil.append_line(self.receipts_path, line.encode())
 
     # -- subclass hooks --------------------------------------------------------
 
@@ -149,7 +144,7 @@ def load_receipts(receipts_path: Path) -> list[dict]:
     import json
 
     try:
-        text = receipts_path.read_text()
+        lines, _ = fsutil.read_lines(receipts_path)
     except FileNotFoundError:
         return []
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    return [json.loads(line) for line in lines]

@@ -160,13 +160,7 @@ def run_lifecycle_round(
     report.timings["bringup"] = report.timings["create"] + report.timings["start"]
 
     if serve_instances <= 1:
-        def _serve() -> int:
-            loop = ServeLoop(sd, workers=workers)
-            summary = loop.run(mode="until-done")
-            report.completed_stages = summary.completed
-            return 0
-
-        code, _ = _invoke(_serve)
+        code, _ = _invoke(lambda: ServeLoop(sd, workers=workers).run(mode="until-done"))
         report.commands["serve"] = code
     else:
         try:
@@ -191,10 +185,7 @@ def run_lifecycle_round(
     scr = audit_state_consistency(sd)
     report.ipr = ipr.to_json()
     report.scr = scr.to_json()
-    if serve_instances <= 1 and report.completed_stages == 0:
-        report.completed_stages = sum(
-            1 for r in sd.stage_records() if r.status == "completed"
-        )
+    report.completed_stages = sum(1 for r in sd.stage_records() if r.status == "completed")
 
     report.workflow_ok = (
         all(rc == 0 for rc in report.commands.values())

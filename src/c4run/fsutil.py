@@ -1,11 +1,16 @@
-"""Filesystem primitives: atomic replace, write-once link, advisory locks.
+"""Filesystem primitives: atomic replace, write-once link, journals, locks.
 
-Durability discipline used everywhere: write to a temporary file, fsync the
+Durability discipline for objects: write to a temporary file, fsync the
 file, atomically rename over the destination, then fsync the directory. A
 reader therefore always sees either the old complete object or the new
 complete object, never a torn write. The temporary file is a spare from a
 :class:`Spares` stock made earlier on the same file system or, when there
 is none, a new file in the target directory.
+
+A journal is a file of newline-terminated lines, written only by
+:func:`append_line` and read only by :func:`read_lines`. A tail with no
+newline is an append that crashed before its fsync: no reader sees it, and
+the next append cuts it off.
 """
 
 from __future__ import annotations
@@ -100,12 +105,33 @@ def read_json(path: Path, what: str = "artifact") -> Any:
         raise CorruptStateError(f"unparseable {what} at {path}: {exc}") from exc
 
 
-def append_line(path: Path, line: str) -> None:
-    """Append one line and fsync; callers serialize via a lock."""
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(line + "\n")
+def read_lines(path: Path, pos: int = 0) -> tuple[list[bytes], int]:
+    """The complete lines of a journal past byte offset pos, without their
+    newlines, and the offset just after the last of them."""
+    with open(path, "rb") as f:
+        f.seek(pos)
+        data = f.read()
+    end = data.rfind(b"\n") + 1
+    return data[:end].splitlines(), pos + end
+
+
+def append_line(path: Path, line: bytes, pos: Optional[int] = None) -> int:
+    """Cut the journal at pos, the end of its last complete line (found
+    here when None), then append line and its newline and fsync. Returns
+    the new end; callers serialize appends."""
+    with open(path, "a+b") as f:
+        size = f.seek(0, os.SEEK_END)
+        if pos is None:  # only a torn tail costs a whole read
+            f.seek(max(0, size - 1))
+            pos = size if f.read(1) in (b"\n", b"") else read_lines(path)[1]
+        elif size < pos:
+            raise CorruptStateError(f"{path.name} is shorter than its read prefix")
+        if size > pos:
+            f.truncate(pos)
+        f.write(line + b"\n")
         f.flush()
         os.fsync(f.fileno())
+    return pos + len(line) + 1
 
 
 @contextmanager

@@ -301,19 +301,10 @@ def _response_path_ok(response_path: str) -> bool:
     return len(parts) == 2 and parts[0] == RESPONSES_DIRNAME and parts[1] not in ("", ".", "..")
 
 
-def validate_request(
-    req: StageRequest,
-    session: SessionState,
-    expected_cid: str,
-) -> Optional[RejectReason]:
-    """The Accept predicate: bind, then auth, then fresh, then ordered.
-
-    Returns None on acceptance, or the first failing check. Checks run in a
-    fixed order so reject reasons are deterministic. Acceptance does NOT
-    update the session. While holding the session lock, callers commit by
-    appending the request's line to the acceptance journal and, once that
-    is durable, apply it with :func:`commit_acceptance`.
-    """
+def authenticate_request(req: StageRequest, session: SessionState, expected_cid: str) -> Optional[RejectReason]:
+    """The bind and auth checks of :func:`validate_request`: None when the
+    request is this session's and its MAC verifies. Recovery runs them on
+    an accepted request's claimed envelope before it resumes it."""
     import hmac
 
     if req.cid != expected_cid or req.cid != session.cid:
@@ -328,6 +319,24 @@ def validate_request(
         return RejectReason.BIND_BAD_RESPONSE_PATH
     if len(req.mac) != MAC_LEN or not hmac.compare_digest(req.mac, request_mac(session.sk, req)):
         return RejectReason.AUTH_MAC_INVALID
+    return None
+
+
+def validate_request(
+    req: StageRequest,
+    session: SessionState,
+    expected_cid: str,
+) -> Optional[RejectReason]:
+    """The Accept predicate: bind, then auth, then fresh, then ordered.
+
+    Returns None on acceptance, or the first failing check. Checks run in a
+    fixed order so reject reasons are deterministic. Acceptance does NOT
+    update the session. While holding the session lock, callers commit by
+    appending the request's line to the acceptance journal and, once that
+    is durable, apply it with :func:`commit_acceptance`.
+    """
+    if (reason := authenticate_request(req, session, expected_cid)) is not None:
+        return reason
     if req.request_id in session.seen_request_ids:
         return RejectReason.FRESH_REPLAYED_ID
     if req.nonce in session.seen_nonces:

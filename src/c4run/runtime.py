@@ -277,7 +277,7 @@ def _record_anchor_exit_event(sd: StateDir) -> None:
     )
 
 
-def _finalize_terminal(sd: StateDir):
+def finalize_terminal(sd: StateDir):
     """Reduce journaled events and persist the terminal record, deciding
     under the state lock so no concurrent writer can interleave."""
     c_untrusted = bundle_c_untrusted(sd)
@@ -315,7 +315,7 @@ def cmd_wait(root: Path, cid: str, *, timeout: Optional[float] = None) -> dict:
         if rec.state is LifecycleState.RUNNING and sd.read_anchor_exit() is not None:
             _record_anchor_exit_event(sd)
             _await_stage_drain(sd, DEFAULT_KILL_GRACE_S)
-            _finalize_terminal(sd)
+            finalize_terminal(sd)
             continue
         if deadline is not None and time.monotonic() >= deadline:
             raise WaitTimeout(f"{cid}: still {rec.state.value}")
@@ -360,7 +360,7 @@ def cmd_kill(
             origin="kill",
         )
     )
-    final = _finalize_terminal(sd)
+    final = finalize_terminal(sd)
     return {"cid": cid, "state": final.state.value, "exit_code": final.exit_code}
 
 

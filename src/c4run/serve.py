@@ -38,9 +38,11 @@ instances on one instance directory:
   spares whichever way it ends, and recover those a killed serve left.
 
 Fail-fast policy: a stage that reports a nonzero rc emits a TEE-error
-termination event and drives the instance record to Failed. That is the
-only write of state.json serve makes: a stage's outcome lives in its own
-artifacts, from which `state` derives the trust, health and phase flags.
+termination event and settles the instance record by the rule wait and
+kill use (runtime.finalize_terminal), which then picks Failed. That is
+the only write of state.json serve makes: a stage's outcome lives in its
+own artifacts, from which `state` derives the trust, health and phase
+flags.
 Cancellations caused by kill are recorded as failed stage records but emit
 no error event (the kill event itself represents that outcome). With
 fail-fast off, stage failures are recorded in the stage artifacts only.
@@ -73,18 +75,17 @@ from .errors import (
 )
 from .fsutil import Spares, read_json, remove_if_exists
 from .lifecycle import (
-    CompositeStateRecord,
     EventSource,
     LifecycleState,
     TERMINAL_STATES,
     TerminationEvent,
     TerminationReason,
-    reduce_termination,
 )
 from .protocol import (
     RejectReason,
     ResponseStatus,
     StageRequest,
+    authenticate_request,
     build_response,
     commit_acceptance,
     response_to_envelope,
@@ -92,6 +93,7 @@ from .protocol import (
     validate_request,
 )
 from .record import Record
+from .runtime import finalize_terminal
 from .statedir import StageRecord, StateDir, request_epoch_seq, stage_eid
 
 PREPARE_FAILED_RC = 126
@@ -395,7 +397,8 @@ class ServeLoop:
     # -- record bookkeeping ---------------------------------------------------
 
     def _fail_fast(self, eid: str, rc: int) -> None:
-        """A genuine stage error drives the instance record to Failed."""
+        """A genuine stage error drives the instance record to Failed: its
+        TEE-error event outranks every event that would settle Stopped."""
         self.sd.append_event(
             TerminationEvent(
                 src=EventSource.TEE,
@@ -405,14 +408,7 @@ class ServeLoop:
                 origin=f"stage:{eid}",
             )
         )
-        exit_code, _ = reduce_termination(self.sd.load_events(), self.bundle.c4.c_untrusted)
-
-        def mutate(cur: CompositeStateRecord) -> CompositeStateRecord:
-            if cur.state in TERMINAL_STATES:
-                return cur
-            return cur.with_state(LifecycleState.FAILED, exit_code=exit_code)
-
-        self.sd.update_record_rmw(mutate)
+        finalize_terminal(self.sd)
 
     # -- one-shot and loop ----------------------------------------------------
 
@@ -519,8 +515,9 @@ class ServeLoop:
         - journalled, no started marker -> resume the pipeline (runs once)
 
         A claim whose id or envelope names no request this instance can
-        have accepted is dropped. It first removes the spares that killed
-        serve instances left.
+        have accepted, or whose envelope fails the bind and MAC checks of
+        validate_request, is dropped. It first removes the spares that
+        killed serve instances left.
         """
         actions: list[dict] = []
         try:
@@ -577,8 +574,8 @@ class ServeLoop:
 
         try:
             req = request_from_envelope(read_json(claimed, "request envelope"))
-            if (req.request_id, stage_eid(req.epoch, req.seq)) != (request_id, eid):
-                raise ValueError("the envelope is another request's")
+            if req.request_id != request_id or authenticate_request(req, self._session, self.sd.cid):
+                raise ValueError("the envelope is another request's, or forged")
         except (ValueError, CorruptStateError):
             remove_if_exists(claimed)
             return "dropped_malformed"

@@ -16,8 +16,10 @@ Layout under ``<root>/<cid>/``:
     anchor.out            anchor stdout/stderr capture
     bundle/               materialized bundle (config.json + rootfs/)
     created.ok            create-completion marker
-    events.json           termination-event journal (one JSON object per line)
-    exec.receipts         backend execution receipts, appended before each run
+    events.json           termination-event journal (one JSON object per
+                          line), appended under a flock on itself
+    exec.receipts         backend execution receipts, appended before each
+                          run under a flock on itself
     kill.requested        kill marker: stages cancel, serve stops, start refuses
     anchor.pid            written by the anchor supervisor once the anchor
                           runs; start returns only after it is durable
@@ -30,7 +32,8 @@ Layout under ``<root>/<cid>/``:
                           made while it is idle and renamed or linked into
                           place as temp files and enclaves/<EID> (made by
                           serve, emptied when it stops and by recover)
-    *.lock                advisory lock files, one per mutable object
+    *.lock                advisory lock files: state.json, session.json
+                          and serve
 
 Everything here is *coordination* state: nothing in this module derives a
 security decision from file contents alone (request validation lives in the
@@ -52,10 +55,12 @@ protocol layer). What this module does guarantee:
   what raises it to seq + 1 (``commit_acceptance`` applies the line). The
   bind only accepts the session's current epoch, and ``advance_epoch``
   only increments it.
-- Journal tails: accepts.log is read up to its last newline. A line with
-  no newline is the torn tail of an append that crashed before its fsync;
-  that acceptance never committed, and the next append cuts it off. A
-  missing journal raises, as a corrupt state.json does.
+- Journal tails: accepts.log, events.json and exec.receipts are read up
+  to their last newline (fsutil.read_lines). A line with no newline is the
+  torn tail of an append that crashed before its fsync: that acceptance,
+  event or receipt never committed, and the next append cuts it off. A
+  complete line that does not parse is corruption. A missing accepts.log
+  raises, as a corrupt state.json does.
 - Write-once artifacts: responses and stage records cannot be overwritten.
 - The wake FIFO carries no state: the spool files and anchor_exit.json are
   the only truth, so a lost or missing ring delays serve by one poll
@@ -345,9 +350,6 @@ class StateDir:
     def session_lock(self, **kw):
         return fsutil.locked(self._lock_path("session.json"), **kw)
 
-    def events_lock(self, **kw):
-        return fsutil.locked(self._lock_path("events.json"), **kw)
-
     def serve_lock(self, **kw):
         return fsutil.locked(self._lock_path("serve"), **kw)
 
@@ -410,7 +412,7 @@ class StateDir:
         self.events_path.touch()
         self.accepts_path.touch()
         self.receipts_path.touch()
-        for name in ("state.json", "session.json", "events.json", "serve"):
+        for name in ("state.json", "session.json", "serve"):
             self._lock_path(name).touch()
         self.save_session(SessionState(cid=self.cid, epoch=0, sk=_derive_session_key(self.cid, session_seed)))
         crash_if("create:post-session")
@@ -557,13 +559,9 @@ class StateDir:
         would let serve accept and run an accepted request again.
         """
         try:
-            with open(self.accepts_path, "rb") as f:
-                f.seek(pos)
-                data = f.read()
+            return fsutil.read_lines(self.accepts_path, pos)
         except FileNotFoundError:
             raise CorruptStateError(f"{self.cid}: accepts.log is missing") from None
-        end = data.rfind(b"\n") + 1
-        return data[:end].splitlines(), pos + end
 
     def fold_accepts(self, session: SessionState, pos: int) -> int:
         """Apply the journal's complete lines past pos to session, skipping
@@ -579,24 +577,10 @@ class StateDir:
         return end
 
     def append_accept(self, pos: int, req: StageRequest) -> int:
-        """Commit an acceptance: write its line at offset pos and fsync.
-
-        The caller holds the session lock and has folded the journal up to
-        pos, the end of its last complete line, so anything past pos is the
-        torn tail of an append that crashed; it is cut off first. Returns
-        the offset after the new line.
-        """
-        line = f"{req.request_id} {req.nonce.hex()}\n".encode()
-        with open(self.accepts_path, "ab") as f:
-            size = f.tell()
-            if size < pos:
-                raise CorruptStateError(f"{self.cid}: accepts.log is shorter than its folded prefix")
-            if size > pos:
-                f.truncate(pos)
-            f.write(line)
-            f.flush()
-            os.fsync(f.fileno())
-        return pos + len(line)
+        """Commit an acceptance: append its line at offset pos, the end of
+        the journal the caller folded under the session lock. Returns the
+        offset after the new line."""
+        return fsutil.append_line(self.accepts_path, f"{req.request_id} {req.nonce.hex()}".encode(), pos)
 
     # -- stage identifiers --------------------------------------------------
 
@@ -790,31 +774,25 @@ class StateDir:
     def append_event(self, event: TerminationEvent) -> bool:
         """Journal a termination event, deduplicated by non-empty origin so
         concurrent finalizers cannot double-record one observation."""
-        with self.events_lock():
-            if event.origin and any(e.origin == event.origin for e in self._load_events_unlocked()):
+        with fsutil.locked(self.events_path):
+            lines, end = fsutil.read_lines(self.events_path)
+            if event.origin and any(e.origin == event.origin for e in self._parse_events(lines)):
                 return False
-            fsutil.append_line(self.events_path, fsutil.json_canonical(event_to_json(event)))
+            fsutil.append_line(self.events_path, fsutil.json_canonical(event_to_json(event)).encode(), end)
             return True
 
-    def _load_events_unlocked(self) -> list[TerminationEvent]:
+    def load_events(self) -> list[TerminationEvent]:
+        """The journalled events; a torn tail is no event, so no lock."""
         try:
-            text = self.events_path.read_text()
+            return self._parse_events(fsutil.read_lines(self.events_path)[0])
         except FileNotFoundError:
             return []
-        events = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(event_from_json(json.loads(line)))
-            except (ValueError, KeyError) as exc:
-                raise CorruptStateError(f"{self.cid}: malformed event line: {exc}") from exc
-        return events
 
-    def load_events(self) -> list[TerminationEvent]:
-        with self.events_lock():
-            return self._load_events_unlocked()
+    def _parse_events(self, lines: list[bytes]) -> list[TerminationEvent]:
+        try:
+            return [event_from_json(json.loads(line)) for line in lines]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise CorruptStateError(f"{self.cid}: malformed event line: {exc}") from exc
 
     # -- anchor bookkeeping ---------------------------------------------------
 

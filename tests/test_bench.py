@@ -162,6 +162,13 @@ def test_lifecycle_round_zero_stages_trivially_complete(tmp_path):
     assert report.exit_code == 0
 
 
+def test_a_round_with_two_serve_processes_reports_its_stages(tmp_path):
+    report = run_lifecycle_campaign(tmp_path, rounds=1, stages_per_round=3, serve_instances=2, workers=1)
+    (round_report,) = report["round_reports"]
+    assert round_report["workflow_ok"], round_report
+    assert round_report["completed_stages"] == 3
+
+
 def test_fail_stage_rounds_follow_intended_failure_path(tmp_path):
     report = run_lifecycle_campaign(
         tmp_path,

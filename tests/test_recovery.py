@@ -94,6 +94,59 @@ def test_torn_journal_line_is_no_acceptance(running_instance):
     assert [(a.request_id, a.nonce) for a in accepted] == [(first.request_id, first.nonce), (req.request_id, req.nonce)]
 
 
+def _serve_one(sd: StateDir):
+    _spool_one(sd)
+    assert ServeLoop(sd, workers=1).process_next().terminal.value == "completed"
+
+
+TORN = b'{"code":0,"ori'
+
+
+@pytest.mark.parametrize("journal", ["accepts", "events", "receipts"])
+def test_a_torn_journal_tail_is_cut_by_the_next_append(running_instance, journal):
+    # The crashed append left a fragment with no newline; the next append
+    # (accept, kill, execute) must cut it off rather than extend it.
+    sd = running_instance
+    path, read, append = {
+        "accepts": (sd.accepts_path, lambda: sd.read_accepts()[0], lambda: _serve_one(sd)),
+        "events": (sd.events_path, sd.load_events, lambda: runtime.cmd_kill(sd.path.parent, sd.cid, grace_s=3)),
+        "receipts": (sd.receipts_path, lambda: load_receipts(sd.receipts_path), lambda: _serve_one(sd)),
+    }[journal]
+    _serve_one(sd)
+    before = read()
+    with open(path, "ab") as f:
+        f.write(TORN)
+    assert read() == before
+    append()
+    after = read()
+    assert after[: len(before)] == before and len(after) == len(before) + 1
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and TORN not in data
+
+
+def test_a_complete_garbage_event_line_is_corruption(running_instance, capsys):
+    sd = running_instance
+    with open(sd.events_path, "ab") as f:
+        f.write(TORN + b"\n")
+    assert cli.main(["--statedir-root", str(sd.path.parent), "kill", sd.cid, "--grace", "3"]) == 5
+    assert "Traceback" not in capsys.readouterr().err
+    sd.events_path.write_bytes(b"")  # so the fixture can settle and delete it
+
+
+def test_recovery_drops_a_claimed_envelope_whose_mac_fails(running_instance):
+    sd = running_instance
+    req = _spool_one(sd)
+    _crash_at(sd, "accept:post-commit")
+    claimed = sd.claimed_path(req.request_id)
+    envelope = read_json(claimed, "request envelope")
+    envelope["stage"] = "fail"  # the MAC still covers "hello"
+    claimed.write_text(json.dumps(envelope))
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "dropped_malformed"}]
+    assert _executions(sd, req.request_id) == 0
+    assert not sd.meta_path(f"eid-{req.epoch}-{req.seq}").exists()
+
+
 def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_instance):
     sd = running_instance
     req = _spool_one(sd)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from c4run import fsutil
 from c4run.crashpoints import InjectedCrash, armed
 from c4run.errors import (
     ContractViolation,
@@ -251,6 +252,19 @@ def test_events_journal_appends_and_dedupes(root, sim_bundle):
     assert sd.append_event(other)
     events = sd.load_events()
     assert [e.origin for e in events] == ["kill", "stage:eid-0001"]
+
+
+def test_append_line_cuts_a_torn_tail_and_refuses_a_short_journal(tmp_path):
+    path = tmp_path / "journal"
+    assert fsutil.append_line(path, b"a") == 2
+    with open(path, "ab") as f:
+        f.write(b"x" * 5000)  # longer than one backward read
+    assert fsutil.read_lines(path) == ([b"a"], 2)
+    assert fsutil.append_line(path, b"b") == 4
+    assert path.read_bytes() == b"a\nb\n"
+    with pytest.raises(CorruptStateError):
+        fsutil.append_line(path, b"c", 5)
+    assert path.read_bytes() == b"a\nb\n"
 
 
 def test_delete_idempotent_and_crash_safe(root, sim_bundle):
