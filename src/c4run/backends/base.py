@@ -4,7 +4,8 @@ The pipeline engine talks to backends only through prepare/execute/destroy
 and the outcome type below; nothing backend-specific leaks upward. Every
 execute call is journaled to the receipts journal (fsutil.append_line,
 under a flock on the journal itself) before any work happens, which is the
-instrumentation the exactly-once audits count.
+instrumentation the exactly-once audits count. Execute returns the
+backend's outcome unchanged: the record's path already names its cid and eid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .. import fsutil
-from ..errors import BackendHandleInvalid
+from ..errors import BackendHandleInvalid, CorruptStateError
 from ..protocol import StageRequest
 
 CancelCheck = Callable[[], bool]
@@ -89,17 +90,7 @@ class AdapterBase:
         except KeyError:
             raise BackendHandleInvalid(f"handle for {handle.eid} is not live") from None
         self._write_receipt(handle, request)
-        outcome = self._execute(handle, context, request, cancel_check or (lambda: False))
-        extra = dict(outcome.evidence.extra)
-        extra.setdefault("cid", handle.cid)
-        extra.setdefault("eid", handle.eid)
-        evidence = StageEvidence(
-            tee_type=outcome.evidence.tee_type,
-            evidence_type=outcome.evidence.evidence_type,
-            measurement_hash=outcome.evidence.measurement_hash,
-            extra=extra,
-        )
-        return StageOutcome(rc=outcome.rc, stdout=outcome.stdout, evidence=evidence)
+        return self._execute(handle, context, request, cancel_check or (lambda: False))
 
     def destroy(self, handle: BackendHandle) -> None:
         """Release the context; destroying twice (or never executing) is fine."""
@@ -140,11 +131,24 @@ class AdapterBase:
 
 
 def load_receipts(receipts_path: Path) -> list[dict]:
-    """Parse the execution receipts journal (for audits and tests)."""
+    """Parse the execution receipts journal (for audits and tests).
+
+    A torn tail is no receipt (fsutil.read_lines); a complete line that is
+    not an object naming a request_id is CorruptStateError.
+    """
     import json
 
     try:
         lines, _ = fsutil.read_lines(receipts_path)
     except FileNotFoundError:
         return []
-    return [json.loads(line) for line in lines]
+    receipts = []
+    for n, line in enumerate(lines, 1):
+        try:
+            receipt = json.loads(line)
+        except (ValueError, RecursionError):
+            receipt = None
+        if not isinstance(receipt, dict) or not isinstance(receipt.get("request_id"), str):
+            raise CorruptStateError(f"exec.receipts line {n} is not a receipt: {line!r}")
+        receipts.append(receipt)
+    return receipts

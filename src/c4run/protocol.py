@@ -70,11 +70,11 @@ class SessionState(Record):
     The epoch advances by exactly one on each anchor (re)start; the seen
     sets, the builder counter, and the watermark all reset with it.
 
-    On disk the parameters (cid, epoch, key, builder counter) are
-    session.json and the seen sets are the epoch's lines of the acceptance
-    journal, accepts.log; the state directory folds the two together. The
-    seen sets are therefore never constructor arguments: they start empty
-    with the watermark at 0.
+    On disk the parameters (cid, epoch, key) are session.json and the seen
+    sets are the epoch's lines of the acceptance journal, accepts.log; the
+    state directory folds the two together. The seen sets are therefore
+    never constructor arguments: they start empty with the watermark at 0.
+    The builder counter, 0 at each epoch's start, lives only in memory.
     """
 
     __slots__ = ("cid", "epoch", "sk", "next_seq", "seen_request_ids", "seen_nonces", "_watermark")
@@ -110,7 +110,6 @@ class SessionState(Record):
             "cid": self.cid,
             "epoch": self.epoch,
             "sk_hex": self.sk.hex(),
-            "next_seq": self.next_seq,
         }
 
     @classmethod
@@ -119,7 +118,6 @@ class SessionState(Record):
             cid=obj["cid"],
             epoch=int(obj["epoch"]),
             sk=bytes.fromhex(obj["sk_hex"]),
-            next_seq=int(obj["next_seq"]),
         )
 
 

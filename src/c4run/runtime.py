@@ -211,11 +211,11 @@ def cmd_state(root: Path, cid: str) -> dict:
         require_conf = False
 
     def newest(records):
-        return max(records, key=lambda r: (r.finished_at, r.eid), default=None)
+        return max(records, key=lambda r: (r.timings["finished_at"], r.eid), default=None)
 
     records = sd.stage_records()
     last = newest(records)
-    executed = newest(r for r in records if r.evidence_type != "none")
+    executed = newest(r for r in records if r.executed)
     trust_ev, health_ev = TrustEvidence(), HealthEvidence()
     if executed is not None:
         trust_ev = TrustEvidence(e_att=True, e_meas=executed.measurement_hash, e_bind=True)

@@ -94,7 +94,7 @@ from .protocol import (
 )
 from .record import Record
 from .runtime import finalize_terminal
-from .statedir import StageRecord, StateDir, request_epoch_seq, stage_eid
+from .statedir import NOT_EXECUTED, StageRecord, StateDir, request_epoch_seq, stage_eid
 
 PREPARE_FAILED_RC = 126
 STAGE_NOT_FOUND_RC = 127
@@ -343,28 +343,20 @@ class ServeLoop:
     ) -> PipelineResult:
         req, eid = item.req, item.eid
         timings["finished_at"] = time.time()
-        status = "completed" if rc == 0 else "failed"
         record = StageRecord(
             eid=eid,
-            stage=req.stage,
             request_id=req.request_id,
-            backend=self.adapter.backend_id,
+            stage=req.stage,
             tee_type=evidence.tee_type if evidence else self.adapter.tee_type,
             rc=rc,
-            status=status,
-            started_at=timings.get("executing_at", timings["claimed_at"]),
-            finished_at=timings["finished_at"],
-            evidence_type=evidence.evidence_type if evidence else "none",
+            evidence_type=evidence.evidence_type if evidence else NOT_EXECUTED,
             measurement_hash=evidence.measurement_hash if evidence else "",
-            session_cid=self.sd.cid,
-            session_epoch=req.epoch,
-            session_seq=req.seq,
             failure_reason=failure_reason,
             timings=timings,
-            evidence_extra=dict(evidence.extra) if evidence else None,
+            evidence_extra=evidence.extra if evidence else None,
         )
         crash_if("finalize:pre-meta")
-        self.sd.write_stage_record(eid, record, stdout, self.spares)
+        self.sd.write_stage_record(record, stdout, self.spares)
         crash_if("finalize:post-meta")
         self._respond(record, stdout, item.claimed_path)
         return PipelineResult(

@@ -3,16 +3,16 @@
 Layout under ``<root>/<cid>/``:
 
     state.json            lifecycle record (see CompositeStateRecord)
-    session.json          session parameters: cid, epoch, key, builder
-                          counter; written only by create and start
+    session.json          session parameters: cid, epoch, key; written only
+                          by create and start
     accepts.log           acceptance journal, one line per accepted request
                           (``<request_id> <nonce_hex>``), under the session lock
     requests/             pending request files <request_id>.req
     requests/claimed/     claimed request files; an empty <request_id>.started
                           says the request's backend may have been touched
     responses/            response files <request_id>.resp
-    enclaves/<EID>/       per-stage meta.json + run.log; EID is
-                          eid-<epoch>-<seq> of the accepted request
+    enclaves/<EID>/       per-stage meta.json (see StageRecord) + run.log;
+                          EID is eid-<epoch>-<seq> of the accepted request
     anchor.out            anchor stdout/stderr capture
     bundle/               materialized bundle (config.json + rootfs/)
     created.ok            create-completion marker
@@ -102,7 +102,6 @@ from .lifecycle import (
     validate_transition,
 )
 from .protocol import SCHEMA_VERSION, SessionState, StageRequest, commit_acceptance
-from .record import Record
 
 MARKER_NAME = "created.ok"
 
@@ -118,71 +117,55 @@ def request_epoch_seq(request_id: str) -> tuple[int, int]:
     return int(epoch), int(seq)
 
 
-class StageRecord(Record):
-    """Per-stage metadata persisted as enclaves/<EID>/meta.json."""
+#: The evidence_type of a stage whose backend never ran: a prepare failure
+#: or an ambiguous execution failed by recovery.
+NOT_EXECUTED = "none"
 
-    # Also the order of meta.json's keys, ahead of schema_version.
-    __slots__ = (
-        "eid", "stage", "request_id", "backend", "tee_type", "rc", "status", "started_at",
-        "finished_at", "evidence_type", "measurement_hash", "session_cid", "session_epoch",
-        "session_seq", "log_path", "failure_reason", "timings", "evidence_extra",
-    )
 
-    def __init__(
-        self,
-        eid: str,
-        stage: str,
-        request_id: str,
-        backend: str,
-        tee_type: str,
-        rc: int,
-        status: str,  # "completed" | "failed"; terminal and write-once
-        started_at: float,
-        finished_at: float,
-        evidence_type: str,
-        measurement_hash: str,
-        session_cid: str,
-        session_epoch: int,
-        session_seq: int,
-        log_path: str = "run.log",
-        failure_reason: Optional[str] = None,
-        timings: Optional[dict] = None,  # pipeline transition timestamps
-        evidence_extra: Optional[dict] = None,
-    ) -> None:
-        if status not in ("completed", "failed"):
-            raise ContractViolation(f"stage status must be terminal, got {status!r}")
-        self.eid = eid
-        self.stage = stage
-        self.request_id = request_id
-        self.backend = backend
-        self.tee_type = tee_type
-        self.rc = rc
-        self.status = status
-        self.started_at = started_at
-        self.finished_at = finished_at
-        self.evidence_type = evidence_type
-        self.measurement_hash = measurement_hash
-        self.session_cid = session_cid
-        self.session_epoch = session_epoch
-        self.session_seq = session_seq
-        self.log_path = log_path
-        self.failure_reason = failure_reason
-        self.timings = timings
-        self.evidence_extra = evidence_extra
+class StageRecord(NamedTuple):
+    """Per-stage metadata persisted as enclaves/<EID>/meta.json.
+
+    meta.json stores each field but ``eid``, which is the directory it is
+    read from, and nothing that a path, the bundle or another field holds:
+    the stage's instance and (epoch, seq) are in its path and request id,
+    its backend is the bundle's, and its status follows from ``rc``.
+    """
+
+    eid: str
+    request_id: str
+    stage: str
+    tee_type: str
+    rc: int
+    evidence_type: str
+    measurement_hash: str
+    failure_reason: Optional[str]
+    timings: dict  # pipeline transition timestamps
+    evidence_extra: Optional[dict]
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.rc == 0 else "failed"
+
+    @property
+    def executed(self) -> bool:
+        """Whether the backend ran: only then is there evidence."""
+        return self.evidence_type != NOT_EXECUTED
 
     def to_json(self) -> dict:
         obj = self._asdict()
-        # Copies, so the caller cannot change this record through them.
-        for key in ("timings", "evidence_extra"):
-            if obj[key] is not None:
-                obj[key] = dict(obj[key])
+        del obj["eid"]  # the directory meta.json is stored in
         obj["schema_version"] = SCHEMA_VERSION
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "StageRecord":
-        fields = {k: v for k, v in obj.items() if k != "schema_version"}
-        return cls(**fields)
+    def from_json(cls, eid: str, obj: dict) -> "StageRecord":
+        """The record in meta.json obj of stage eid; other keys are ignored.
+        A missing key raises KeyError, and timings without a numeric
+        finished_at, by which `state` orders records, ValueError."""
+        record = cls(eid, *(obj[key] for key in cls._fields[1:]))
+        if not isinstance(record.timings["finished_at"], (int, float)):
+            raise ValueError("timings.finished_at is not a time")
+        return record
 
 
 class Acceptance(NamedTuple):
@@ -208,7 +191,6 @@ def record_to_json(rec: CompositeStateRecord) -> dict:
         "cid": rec.cid,
         "state": rec.state.value,
         "ver": rec.ver,
-        "oci_status": rec.oci_status.value,
     }
     for key in ("exit_code", "anchor_pid"):
         val = getattr(rec, key)
@@ -717,21 +699,17 @@ class StateDir:
     # -- stage records and responses ---------------------------------------
 
     def write_stage_record(
-        self, eid: str, record: StageRecord, log_bytes: bytes, spares: Optional[fsutil.Spares] = None
+        self, record: StageRecord, log_bytes: bytes, spares: Optional[fsutil.Spares] = None
     ) -> None:
-        """Persist run.log then meta.json, both write-once.
+        """Persist run.log then meta.json in record.eid, both write-once.
 
         meta.json is the durable "executed" commitment: recovery treats its
         presence as proof the outcome was recorded, and its absence (with a
         started marker) as an ambiguous execution.
         """
-        enclave = self.enclave_dir(eid)
-        if not enclave.is_dir():
+        eid = record.eid
+        if not self.enclave_dir(eid).is_dir():
             raise ContractViolation(f"enclave dir missing for {eid}")
-        if record.eid != eid:
-            raise ContractViolation("record/eid mismatch")
-        if record.session_cid != self.cid:
-            raise ContractViolation("stage record bound to a different instance")
         if self.meta_path(eid).exists():
             raise ExactlyOnceViolation(f"meta.json already written for {eid}")
         fsutil.atomic_write_bytes(self.run_log_path(eid), log_bytes, spares)
@@ -742,7 +720,7 @@ class StateDir:
     def read_stage_record(self, eid: str) -> StageRecord:
         obj = fsutil.read_json(self.meta_path(eid), "meta.json")
         try:
-            return StageRecord.from_json(obj)
+            return StageRecord.from_json(eid, obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptStateError(f"malformed meta.json for {eid}: {exc}") from exc
 

@@ -50,8 +50,7 @@ def test_hello_stage(sim):
     assert outcome.stdout == b"hello from eid-0001\n"
     assert outcome.evidence.tee_type == "sim"
     assert outcome.evidence.evidence_type == "sim-measurement"
-    assert outcome.evidence.extra["cid"] == "c1"
-    assert outcome.evidence.extra["eid"] == "eid-0001"
+    assert outcome.evidence.extra == {"behavior": "hello"}  # the record's path names cid and eid
     sim.destroy(handle)
 
 
@@ -100,7 +99,7 @@ def test_stage_evidence_never_shares_its_extra_dict(sim):
         extras.append(sim.execute(handle, _req()).evidence.extra)
         sim.destroy(handle)
     assert extras[0] is not extras[1]
-    assert [extra["eid"] for extra in extras] == ["eid-0001", "eid-0002"]
+    assert extras[0] == extras[1] == {"behavior": "hello"}
 
 
 def test_fail_stage_propagates_configured_rc(sim):

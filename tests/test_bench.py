@@ -56,15 +56,24 @@ def test_audit_flags_deleted_response(root, sim_bundle):
 
 
 def test_audit_flags_record_whose_seq_does_not_name_it(root, sim_bundle):
+    # Two stages' meta.json swapped: each record's request names the other.
     sd = _healthy_round(root, sim_bundle, "a6")
-    eid = sd.list_eids()[0]
-    raw = json.loads(sd.meta_path(eid).read_text())
-    raw["session_seq"] += 1
-    sd.meta_path(eid).write_text(json.dumps(raw))
+    first, second = sd.list_eids()[:2]
+    a, b = sd.meta_path(first).read_bytes(), sd.meta_path(second).read_bytes()
+    sd.meta_path(first).write_bytes(b)
+    sd.meta_path(second).write_bytes(a)
     result = audit_artifacts(sd)
-    assert not result.passed
-    assert any(v.startswith(f"{eid}: recorded (epoch, seq)") for v in result.violations), result.violations
+    for eid, meta in ((first, b), (second, a)):
+        assert f"{eid}: recorded request {json.loads(meta)['request_id']} does not name it" in result.violations
     runtime.cmd_delete(root, "a6")
+
+
+def test_audit_flags_a_complete_receipt_line_that_is_not_a_receipt(root, sim_bundle):
+    sd = _healthy_round(root, sim_bundle, "a10")
+    with open(sd.receipts_path, "ab") as f:
+        f.write(b"not json\n{\"eid\": \"torn")  # a complete bad line, then a torn tail
+    assert audit_artifacts(sd).violations == ["exec.receipts line 5 is not a receipt: b'not json'"]
+    runtime.cmd_delete(root, "a10")
 
 
 def test_audit_flags_a_journal_line_written_twice(root, sim_bundle):
@@ -104,6 +113,17 @@ def test_audit_flags_a_journal_line_that_does_not_parse(root, sim_bundle):
     result = audit_artifacts(sd)
     assert "accepts.log line 2 does not parse: b'1-x-0 zz'" in result.violations, result.violations
     runtime.cmd_delete(root, "a8")
+
+
+def test_state_audit_flags_a_record_that_breaks_the_records_invariants(root, sim_bundle):
+    sd = _healthy_round(root, sim_bundle, "a11")
+    raw = json.loads(sd.state_path.read_text())
+    for tampered in ({"ver": 0}, {"state": "running"}, {"exit_code": None}):
+        sd.state_path.write_text(json.dumps({**raw, **tampered}))
+        (violation,) = audit_state_consistency(sd).violations
+        assert violation.startswith("state.json unreadable: ")
+    sd.state_path.write_text(json.dumps(raw))
+    runtime.cmd_delete(root, "a11")
 
 
 def test_audit_flags_tampered_exit_code(root, sim_bundle):

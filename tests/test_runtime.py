@@ -21,7 +21,7 @@ from c4run.errors import (
 )
 from c4run.lifecycle import LifecycleState as L
 from c4run.serve import ServeLoop
-from c4run.statedir import StageRecord, StateDir
+from c4run.statedir import NOT_EXECUTED, StageRecord, StateDir
 from oracles import find_stage_record, oracle_reduce
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,21 +69,17 @@ def _record_stage(sd: StateDir, *, seq: int, rc: int, finished_at: float, execut
     eid = sd.allocate_eid(1, seq)
     record = StageRecord(
         eid=eid,
+        request_id=f"1-{seq}-0000abcd",
         stage="hello",
-        request_id=f"r-{eid}",
-        backend="sim",
         tee_type="sim",
         rc=rc,
-        status="completed" if rc == 0 else "failed",
-        started_at=finished_at - 1.0,
-        finished_at=finished_at,
-        evidence_type="sim-measurement" if executed else "none",
+        evidence_type="sim-measurement" if executed else NOT_EXECUTED,
         measurement_hash="ab" * 32 if executed else "",
-        session_cid=sd.cid,
-        session_epoch=1,
-        session_seq=seq,
+        failure_reason=None,
+        timings={"claimed_at": finished_at - 1.0, "finished_at": finished_at},
+        evidence_extra=None,
     )
-    sd.write_stage_record(eid, record, b"")
+    sd.write_stage_record(record, b"")
     return eid
 
 

@@ -67,7 +67,6 @@ def test_single_request_full_pipeline(running_instance):
     record = sd.read_stage_record(eid)
     assert record.request_id == req.request_id and record.stage == "hello"
     assert record.rc == 0 and record.status == "completed"
-    assert record.session_epoch == req.epoch and record.session_seq == req.seq
     assert sd.run_log_path(eid).read_bytes() == f"hello from {eid}\n".encode()
 
     resp = _response(sd, req.request_id)
@@ -84,6 +83,18 @@ def test_single_request_full_pipeline(running_instance):
     # meta/log precede the response and the pipeline timestamps are ordered
     t = record.timings
     assert t["claimed_at"] <= t["prepared_at"] <= t["executing_at"] <= t["finished_at"]
+
+
+def test_served_meta_json_holds_only_what_nothing_else_holds(running_instance):
+    # Its path names the instance and (epoch, seq), the bundle the backend,
+    # and rc the status.
+    sd = running_instance
+    _spool(sd)
+    result = ServeLoop(sd, workers=1).process_next()
+    assert set(json.loads(sd.meta_path(result.eid).read_bytes())) == {
+        "request_id", "stage", "tee_type", "rc", "evidence_type", "measurement_hash",
+        "failure_reason", "timings", "evidence_extra", "schema_version",
+    }
 
 
 def test_replayed_request_rejected_without_new_eid(running_instance):
@@ -511,7 +522,7 @@ def test_unknown_stage_fails_without_execution(running_instance):
     result = loop.process_next()
     assert result.terminal is StagePipelineState.FAILED and result.rc == 127
     record = find_stage_record(sd, req.request_id)
-    assert record.status == "failed" and record.evidence_type == "none"
+    assert record.status == "failed" and not record.executed
     assert load_receipts(sd.receipts_path) == []
 
 

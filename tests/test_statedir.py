@@ -53,7 +53,27 @@ def test_init_materializes_full_layout(root, sim_bundle):
     assert not (sd.path / "eid.seq").exists()
     session = sd.load_session()
     assert session.epoch == 0 and session.next_seq == 0
-    assert set(json.loads(sd.session_path.read_text())) == {"schema_version", "cid", "epoch", "sk_hex", "next_seq"}
+    # Neither stores what it can derive: the OCI status is project_oci(state),
+    # and the builder counter starts each epoch at 0.
+    assert set(json.loads(sd.session_path.read_text())) == {"schema_version", "cid", "epoch", "sk_hex"}
+    assert set(json.loads(sd.state_path.read_text())) == {"schema_version", "cid", "state", "ver"}
+
+
+def test_files_written_before_the_keys_went_still_read(root, sim_bundle):
+    sd = _init(root, sim_bundle)
+    state, session = json.loads(sd.state_path.read_text()), json.loads(sd.session_path.read_text())
+    sd.state_path.write_text(json.dumps({**state, "oci_status": "created"}))
+    sd.session_path.write_text(json.dumps({**session, "next_seq": 0}))
+    assert sd.read_record().state is L.PREPARED
+    assert sd.load_session().sk.hex() == session["sk_hex"]
+    eid = sd.allocate_eid(1, 0)
+    old_meta = {
+        **_stage_record(eid).to_json(), "eid": eid, "backend": "sim", "status": "completed",
+        "started_at": 1.0, "finished_at": 2.0, "session_cid": sd.cid, "session_epoch": 1,
+        "session_seq": 0, "log_path": "run.log",
+    }
+    sd.meta_path(eid).write_text(json.dumps(old_meta))
+    assert sd.read_stage_record(eid) == _stage_record(eid)
 
 
 def test_init_idempotent_no_rewrites(root, sim_bundle):
@@ -163,22 +183,18 @@ def test_spool_response_write_once(root, sim_bundle):
     assert sd.response_path("r1").read_bytes() == original
 
 
-def _stage_record(sd, eid, rid="r1", rc=0):
+def _stage_record(eid, rid="1-0-aaaaaaaa", rc=0):
     return StageRecord(
         eid=eid,
-        stage="hello",
         request_id=rid,
-        backend="sim",
+        stage="hello",
         tee_type="sim",
         rc=rc,
-        status="completed" if rc == 0 else "failed",
-        started_at=1.0,
-        finished_at=2.0,
         evidence_type="sim-measurement",
         measurement_hash="ab" * 32,
-        session_cid=sd.cid,
-        session_epoch=1,
-        session_seq=0,
+        failure_reason=None,
+        timings={"claimed_at": 1.0, "finished_at": 2.0},
+        evidence_extra=None,
     )
 
 
@@ -186,14 +202,14 @@ def test_write_stage_record_once_and_reads_back(root, sim_bundle):
     sd = _init(root, sim_bundle)
     eid = sd.allocate_eid(1, 0)
     assert eid == "eid-1-0"
-    sd.write_stage_record(eid, _stage_record(sd, eid), b"log bytes")
+    sd.write_stage_record(_stage_record(eid), b"log bytes")
     assert sd.run_log_path(eid).read_bytes() == b"log bytes"
-    assert sd.read_stage_record(eid).request_id == "r1"
+    assert sd.read_stage_record(eid) == _stage_record(eid)
     with pytest.raises(ExactlyOnceViolation):
-        sd.write_stage_record(eid, _stage_record(sd, eid), b"again")
+        sd.write_stage_record(_stage_record(eid), b"again")
     with pytest.raises(ContractViolation):
-        sd.write_stage_record("eid-9999", _stage_record(sd, "eid-9999"), b"")
-    assert find_stage_record(sd, "r1").eid == eid
+        sd.write_stage_record(_stage_record("eid-9999"), b"")
+    assert find_stage_record(sd, "1-0-aaaaaaaa").eid == eid
     assert find_stage_record(sd, "missing") is None
 
 
@@ -204,39 +220,33 @@ def test_started_markers_are_empty_and_counted_by_name(root, sim_bundle):
     assert sd.started_marker_path("1-0-aaaaaaaa").read_bytes() == b""
     assert sd.started_markers() == ["1-0-aaaaaaaa", "1-1-bbbbbbbb", "not-an-id"]
     eid = sd.allocate_eid(1, 0)
-    sd.write_stage_record(eid, _stage_record(sd, eid), b"")
+    sd.write_stage_record(_stage_record(eid), b"")
     # 1-0's stage is recorded and "not-an-id" names no stage: 1-1's is in flight
     assert sd.in_flight_count() == 1
 
 
-def test_stage_record_requires_terminal_status(root, sim_bundle):
-    with pytest.raises(ContractViolation):
-        StageRecord(
-            eid="eid-0001", stage="s", request_id="r", backend="sim", tee_type="sim",
-            rc=0, status="executing", started_at=0, finished_at=0,
-            evidence_type="none", measurement_hash="", session_cid="c", session_epoch=1, session_seq=0,
-        )
+# meta.json's keys: what no path, bundle field or other key already holds.
+META_KEYS = {
+    "request_id", "stage", "tee_type", "rc", "evidence_type", "measurement_hash",
+    "failure_reason", "timings", "evidence_extra", "schema_version",
+}
 
 
-# meta.json's keys in the order dataclasses.asdict gave them, then the schema.
-META_KEYS = [
-    "eid", "stage", "request_id", "backend", "tee_type", "rc", "status", "started_at",
-    "finished_at", "evidence_type", "measurement_hash", "session_cid", "session_epoch",
-    "session_seq", "log_path", "failure_reason", "timings", "evidence_extra", "schema_version",
-]
-
-
-def test_stage_record_json_keeps_meta_keys_in_order_and_copies_its_dicts(root, sim_bundle):
+def test_stage_record_json_holds_only_the_kept_meta_keys(root, sim_bundle):
     sd = _init(root, sim_bundle)
-    timings, extra = {"claimed_at": 1.0}, {"behavior": "hello"}
-    fields = {k: v for k, v in _stage_record(sd, "eid-1-0").to_json().items() if k != "schema_version"}
-    record = StageRecord(**{**fields, "timings": timings, "evidence_extra": extra})
+    record = _stage_record("eid-1-0", rc=7)._replace(evidence_extra={"behavior": "fail"})
     obj = record.to_json()
-    assert list(obj) == META_KEYS
-    assert obj["timings"] == timings and obj["timings"] is not timings
-    assert obj["evidence_extra"] == extra and obj["evidence_extra"] is not extra
-    assert StageRecord.from_json(obj) == record
-    assert list(_stage_record(sd, "eid-1-0").to_json()) == META_KEYS  # None dicts too
+    assert set(obj) == META_KEYS
+    assert StageRecord.from_json("eid-1-0", obj) == record
+    assert (record.status, _stage_record("eid-1-0").status) == ("failed", "completed")
+    assert "__init__" not in vars(StageRecord) and issubclass(StageRecord, tuple)
+    sd.allocate_eid(1, 0)
+    broken = [{k: v for k, v in obj.items() if k != key} for key in META_KEYS - {"schema_version"}]
+    broken += [{**obj, "timings": timings} for timings in ({}, {"finished_at": "2"}, None)]
+    for meta in broken:  # state orders records by timings.finished_at
+        sd.meta_path("eid-1-0").write_text(json.dumps(meta))
+        with pytest.raises(CorruptStateError):
+            sd.read_stage_record("eid-1-0")
 
 
 def test_events_journal_appends_and_dedupes(root, sim_bundle):
