@@ -68,8 +68,8 @@ def run_workload(sd: StateDir, session: SessionState, workload: dict) -> int:
             ready = [rid for rid in outstanding if sd.has_response(rid)]
             for rid in ready:
                 try:
-                    resp = response_from_envelope(read_json(sd.response_path(rid), "response"))
-                except (ValueError, CorruptStateError):
+                    resp = read_json(sd.response_path(rid), "response", response_from_envelope)
+                except CorruptStateError:
                     resp = None  # the host wrote something that is not a response
                 if resp is None or not verify_response(resp, session, outstanding):
                     failures.append(f"{rid}: response failed verification")
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     sd = StateDir(Path(statedir).parent, cid)
 
     session_path = Path(os.environ.get("C4_SESSION_PATH", sd.session_path))
-    session = SessionState.from_json(read_json(session_path, "session.json"))
+    session = read_json(session_path, "session.json", SessionState.from_json)
     workload = json.loads(workload_path.read_text())
     return run_workload(sd, session, workload)
 

@@ -10,7 +10,6 @@ that merely names this package loads the simulator's cryptography.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
 
 from ..errors import UsageError
 from .base import AdapterBase, load_receipts
@@ -22,17 +21,15 @@ def create_adapter(
     backend_id: str,
     stage_table: dict,
     *,
-    rootfs: Optional[Path] = None,
-    work_root: Optional[Path] = None,
-    receipts_path: Optional[Path] = None,
+    rootfs: Path,
+    work_root: Path,
+    receipts_path: Path,
 ) -> AdapterBase:
     if backend_id == "sim":
         from .sim import SimulatorAdapter
 
         return SimulatorAdapter(stage_table, receipts_path=receipts_path)
     if backend_id == "localexec":
-        if rootfs is None or work_root is None:
-            raise UsageError("localexec requires a rootfs and a work root")
         from .localexec import LocalExecAdapter
 
         return LocalExecAdapter(

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .. import fsutil
-from ..errors import BackendHandleInvalid, CorruptStateError
+from ..errors import BackendHandleInvalid
 from ..protocol import StageRequest
 
 CancelCheck = Callable[[], bool]
@@ -26,11 +26,8 @@ class BackendHandle(NamedTuple):
     """Opaque prepared execution context, valid from prepare until destroy."""
 
     token: str
-    cid: str
     eid: str
     stage: str
-    backend_id: str
-    created_at: float
 
 
 class StageEvidence(NamedTuple):
@@ -58,7 +55,7 @@ class AdapterBase:
     tee_type = "base"
     evidence_type = "base"
 
-    def __init__(self, stage_table: dict, *, receipts_path: Optional[Path] = None) -> None:
+    def __init__(self, stage_table: dict, *, receipts_path: Path) -> None:
         self.stage_table = dict(stage_table)
         self.receipts_path = receipts_path
         self._live: dict[str, object] = {}
@@ -67,14 +64,7 @@ class AdapterBase:
 
     def prepare(self, cid: str, eid: str, stage: str) -> BackendHandle:
         context = self._prepare_context(cid, eid, stage)
-        handle = BackendHandle(
-            token=os.urandom(16).hex(),
-            cid=cid,
-            eid=eid,
-            stage=stage,
-            backend_id=self.backend_id,
-            created_at=time.time(),
-        )
+        handle = BackendHandle(token=os.urandom(16).hex(), eid=eid, stage=stage)
         self._live[handle.token] = context
         return handle
 
@@ -104,8 +94,6 @@ class AdapterBase:
     # -- instrumentation ------------------------------------------------------
 
     def _write_receipt(self, handle: BackendHandle, request: StageRequest) -> None:
-        if self.receipts_path is None:
-            return
         line = fsutil.json_canonical(
             {
                 "request_id": request.request_id,
@@ -136,19 +124,14 @@ def load_receipts(receipts_path: Path) -> list[dict]:
     A torn tail is no receipt (fsutil.read_lines); a complete line that is
     not an object naming a request_id is CorruptStateError.
     """
-    import json
-
     try:
         lines, _ = fsutil.read_lines(receipts_path)
     except FileNotFoundError:
         return []
-    receipts = []
-    for n, line in enumerate(lines, 1):
-        try:
-            receipt = json.loads(line)
-        except (ValueError, RecursionError):
-            receipt = None
-        if not isinstance(receipt, dict) or not isinstance(receipt.get("request_id"), str):
-            raise CorruptStateError(f"exec.receipts line {n} is not a receipt: {line!r}")
-        receipts.append(receipt)
-    return receipts
+    return [fsutil.decode_json(line, f"line {n} of {receipts_path}", _receipt) for n, line in enumerate(lines, 1)]
+
+
+def _receipt(obj: dict) -> dict:
+    if not isinstance(obj["request_id"], str):
+        raise TypeError("request_id is not a string")
+    return obj

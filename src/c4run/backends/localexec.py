@@ -29,9 +29,6 @@ _POLL_S = 0.02
 
 
 class _ExecContext(NamedTuple):
-    cid: str
-    eid: str
-    stage: str
     program: Path
     args: list[str]
     timeout_s: float
@@ -52,7 +49,7 @@ class LocalExecAdapter(AdapterBase):
     tee_type = "localexec"
     evidence_type = "localexec-digest"
 
-    def __init__(self, stage_table, *, rootfs: Path, work_root: Path, receipts_path=None) -> None:
+    def __init__(self, stage_table, *, rootfs: Path, work_root: Path, receipts_path: Path) -> None:
         super().__init__(stage_table, receipts_path=receipts_path)
         self.rootfs = Path(rootfs).resolve()
         self.work_root = Path(work_root)
@@ -75,9 +72,6 @@ class LocalExecAdapter(AdapterBase):
         except OSError as exc:
             raise PrepareFailed(f"cannot stage working directory: {exc}") from exc
         return _ExecContext(
-            cid=cid,
-            eid=eid,
-            stage=stage,
             program=program,
             args=[str(a) for a in spec.get("args", [])],
             timeout_s=float(spec.get("timeout_s", DEFAULT_TIMEOUT_S)),

@@ -19,11 +19,11 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..errors import CANCELLED_RC, TIMEOUT_RC, StageNotFound
 from ..fsutil import json_canonical
-from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
+from .base import AdapterBase, BackendHandle, CancelCheck, StageEvidence, StageOutcome
 
 DEFAULT_AESGCM_SIZE = 16 * 1024 * 1024
 DEFAULT_AESGCM_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -34,33 +34,26 @@ _BEHAVIORS = ("hello", "aesgcm", "fail", "sleep")
 _TICK_S = 0.01
 
 
-class _StageContext(NamedTuple):
-    cid: str
-    eid: str
-    stage: str
-    spec: dict
-
-
 class SimulatorAdapter(AdapterBase):
     backend_id = "sim"
     tee_type = "sim"
     evidence_type = "sim-measurement"
 
-    def _prepare_context(self, cid: str, eid: str, stage: str) -> _StageContext:
+    def _prepare_context(self, cid: str, eid: str, stage: str) -> dict:
+        """The stage's table entry: all that executing it needs."""
         spec = self.stage_table.get(stage)
         if spec is None:
             raise StageNotFound(f"stage {stage!r} is not registered")
         behavior = spec.get("behavior")
         if behavior not in _BEHAVIORS:
             raise StageNotFound(f"stage {stage!r} has unknown behavior {behavior!r}")
-        return _StageContext(cid=cid, eid=eid, stage=stage, spec=spec)
+        return spec
 
     def _measurement(self, stage: str, spec: dict) -> str:
         identity = f"{self.backend_id}:{stage}:{json_canonical(spec)}"
         return hashlib.sha256(identity.encode()).hexdigest()
 
-    def _execute(self, handle, context: _StageContext, request, cancel_check: CancelCheck) -> StageOutcome:
-        spec = context.spec
+    def _execute(self, handle: BackendHandle, spec: dict, request, cancel_check: CancelCheck) -> StageOutcome:
         timeout_s = float(spec.get("timeout_s", DEFAULT_TIMEOUT_S))
         started = time.monotonic()
 
@@ -70,8 +63,8 @@ class SimulatorAdapter(AdapterBase):
             if busy_ms:
                 rc = self._interruptible_sleep(busy_ms / 1000.0, timeout_s, started, cancel_check)
                 if rc is not None:
-                    return self._outcome(context, rc, b"")
-            rc, stdout = 0, f"hello from {context.eid}\n".encode()
+                    return self._outcome(handle, spec, rc, b"")
+            rc, stdout = 0, f"hello from {handle.eid}\n".encode()
         elif behavior == "aesgcm":
             rc, stdout = 0, self._aesgcm_tag(spec)
         elif behavior == "fail":
@@ -81,14 +74,14 @@ class SimulatorAdapter(AdapterBase):
             rc, stdout = (0 if rc is None else rc), b""
         else:  # unreachable: prepare rejects unknown behaviors
             raise StageNotFound(behavior)
-        return self._outcome(context, rc, stdout)
+        return self._outcome(handle, spec, rc, stdout)
 
-    def _outcome(self, context: _StageContext, rc: int, stdout: bytes) -> StageOutcome:
+    def _outcome(self, handle: BackendHandle, spec: dict, rc: int, stdout: bytes) -> StageOutcome:
         evidence = StageEvidence(
             tee_type=self.tee_type,
             evidence_type=self.evidence_type,
-            measurement_hash=self._measurement(context.stage, context.spec),
-            extra={"behavior": context.spec["behavior"]},
+            measurement_hash=self._measurement(handle.stage, spec),
+            extra={"behavior": spec["behavior"]},
         )
         return StageOutcome(rc=rc, stdout=stdout, evidence=evidence)
 
@@ -120,5 +113,5 @@ class SimulatorAdapter(AdapterBase):
             return TIMEOUT_RC
         return None
 
-    def _destroy_context(self, context: _StageContext) -> None:
+    def _destroy_context(self, context: dict) -> None:
         pass

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..backends import load_receipts
-from ..errors import CorruptStateError
-from ..fsutil import read_json
+from ..errors import C4Error, CorruptStateError
+from ..fsutil import read_bytes, read_json
 from ..lifecycle import (
     TERMINAL_STATES,
     TerminationReason,
@@ -53,7 +53,7 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
     result = AuditResult()
     try:
         session = sd.load_session_params()
-    except Exception as exc:
+    except C4Error as exc:  # absent or corrupt
         result.flag(f"session unreadable: {exc}")
         return result
     accepted = _audit_journal(sd, session, result)
@@ -81,15 +81,18 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
         if rec is None:
             result.flag(f"{rid}: accepted but no stage record")
             continue
-        if not sd.run_log_path(rec.eid).exists():
-            result.flag(f"{rid}: run.log missing")
+        try:
+            log_bytes = read_bytes(sd.run_log_path(rec.eid))
+        except (FileNotFoundError, CorruptStateError) as exc:
+            result.flag(f"{rid}: run.log unreadable: {exc}")
+            log_bytes = b""
         resp_path = sd.response_path(rid)
         if not resp_path.exists():
             result.flag(f"{rid}: no response")
             continue
         try:
-            resp = response_from_envelope(read_json(resp_path, "response"))
-        except (ValueError, CorruptStateError) as exc:
+            resp = read_json(resp_path, "response", response_from_envelope)
+        except CorruptStateError as exc:
             result.flag(f"{rid}: response malformed: {exc}")
             continue
         if resp.status is ResponseStatus.REJECTED:
@@ -102,7 +105,6 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
         expected_status = ResponseStatus.COMPLETED if rec.status == "completed" else ResponseStatus.FAILED
         if resp.status is not expected_status:
             result.flag(f"{rid}: response status {resp.status.value} != record {rec.status}")
-        log_bytes = sd.run_log_path(rec.eid).read_bytes() if sd.run_log_path(rec.eid).exists() else b""
         if resp.output != log_bytes:
             result.flag(f"{rid}: response output diverges from run.log")
 
@@ -110,8 +112,8 @@ def audit_artifacts(sd: StateDir) -> AuditResult:
     for resp_path in sd.responses_dir.glob("*.resp"):
         rid = resp_path.stem
         try:
-            resp = response_from_envelope(read_json(resp_path, "response"))
-        except (ValueError, CorruptStateError) as exc:
+            resp = read_json(resp_path, "response", response_from_envelope)
+        except CorruptStateError as exc:
             result.flag(f"{rid}: response malformed: {exc}")
             continue
         if resp.status is not ResponseStatus.REJECTED and rid not in records:
@@ -178,7 +180,7 @@ def audit_state_consistency(sd: StateDir) -> AuditResult:
     try:  # the record's constructor rejects a ver below 1 and an exit code on
         # a non-terminal state, and requires one on a terminal state
         rec = sd.read_record()
-    except Exception as exc:
+    except CorruptStateError as exc:
         result.flag(f"state.json unreadable: {exc}")
         return result
     if rec is None:
@@ -186,7 +188,11 @@ def audit_state_consistency(sd: StateDir) -> AuditResult:
         return result
 
     if rec.state in TERMINAL_STATES:
-        events = sd.load_events()
+        try:
+            events = sd.load_events()
+        except CorruptStateError as exc:
+            result.flag(f"events.json unreadable: {exc}")
+            return result
         if events:
             c_untrusted = bundle_c_untrusted(sd)
             # The terminal outcome froze at some point in the journal; an

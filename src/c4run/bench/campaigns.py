@@ -140,7 +140,6 @@ def run_lifecycle_round(
     serve_instances: int = 1,
     workers: int = 4,
     expected_exit: int = 0,
-    reuse_bundle: bool = False,
     keep: bool = False,
 ) -> RoundReport:
     """One full create -> start -> serve -> wait -> kill -> delete round."""
@@ -149,7 +148,7 @@ def run_lifecycle_round(
     t_round = time.monotonic()
 
     t0 = time.monotonic()
-    code, _ = _invoke(runtime.cmd_create, root, cid, bundle_path, reuse_bundle=reuse_bundle)
+    code, _ = _invoke(runtime.cmd_create, root, cid, bundle_path)
     report.commands["create"] = code
     report.timings["create"] = time.monotonic() - t0
 
@@ -214,7 +213,7 @@ def _collect_round_evidence(sd: StateDir) -> list[str]:
         pass
     try:
         for resp_path in sorted(sd.responses_dir.glob("*.resp")):
-            resp = response_from_envelope(read_json(resp_path, "response"))
+            resp = read_json(resp_path, "response", response_from_envelope)
             notes.append(
                 f"response {resp.request_id}: {resp.status.value} rc={resp.rc}"
                 + (f" reject={resp.reject_reason.value}" if resp.reject_reason else "")
@@ -550,8 +549,7 @@ def _adversary_e2e(workdir: Path, root: Path, rng: random.Random, n: int) -> dic
     honest_executed = all(counts.get(rid, 0) == 1 for rid in honest_ids)
     rejected_ok = all(
         sd_a.has_response(rid)
-        and response_from_envelope(read_json(sd_a.response_path(rid), "response")).status.value
-        == "rejected"
+        and read_json(sd_a.response_path(rid), "response", response_from_envelope).status.value == "rejected"
         for rid in misrouted
     )
     for cid in ("e2e-a", "e2e-b"):
@@ -634,7 +632,7 @@ def _crash_pipeline(root: Path, cid: str, bundle: Path, point: str, expected: st
     counts = Counter(r["request_id"] for r in load_receipts(sd.receipts_path))
     execs = counts.get(req.request_id, 0)
     resp = (
-        response_from_envelope(read_json(sd.response_path(req.request_id), "response"))
+        read_json(sd.response_path(req.request_id), "response", response_from_envelope)
         if sd.has_response(req.request_id)
         else None
     )

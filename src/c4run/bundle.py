@@ -200,7 +200,6 @@ def write_test_bundle(
     stage_table: Optional[dict] = None,
     workload: Optional[dict] = None,
     anchor_args: Optional[list[str]] = None,
-    require_conf: bool = False,
     c_untrusted: int = DEFAULT_UNTRUSTED_EXIT_CODE,
     session_seed: Optional[str] = "test-seed",
 ) -> Path:
@@ -249,7 +248,6 @@ def write_test_bundle(
         "c4": {
             "backend_id": backend_id,
             "stage_table": stage_table,
-            "require_conf": require_conf,
             "c_untrusted": c_untrusted,
             **({"session_seed": session_seed} if session_seed else {}),
         },

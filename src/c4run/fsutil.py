@@ -11,19 +11,27 @@ A journal is a file of newline-terminated lines, written only by
 :func:`append_line` and read only by :func:`read_lines`. A tail with no
 newline is an append that crashed before its fsync: no reader sees it, and
 the next append cuts it off.
+
+The host writes every file these functions read, so they alone decide what
+a corrupt one is: each opens through one opener, which never blocks and
+refuses anything but a regular file, and :func:`decode_json` is where a
+file that does not parse or decode becomes CorruptStateError. A missing
+file stays FileNotFoundError, for each caller to read as the absence it is.
 """
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import json
 import os
 import shutil
+import stat
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
-from .errors import CorruptStateError, ExactlyOnceViolation
+from .errors import ContractViolation, CorruptStateError, ExactlyOnceViolation
 
 
 def json_canonical(obj: Any) -> str:
@@ -96,19 +104,47 @@ def write_once_bytes(path: Path, data: bytes, spares: Optional[Spares] = None) -
     fsync_dir(path.parent)
 
 
-def read_json(path: Path, what: str = "artifact") -> Any:
-    """Parse a JSON artifact; a present-but-unparseable file is corruption."""
-    raw = path.read_bytes()
+def _open(path: Path, flags: int = os.O_RDONLY) -> int:
+    """A descriptor on the regular file at path, opened without blocking.
+    A missing file raises FileNotFoundError; anything else in its place is
+    CorruptStateError, before a byte is read or written."""
     try:
-        return json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise CorruptStateError(f"unparseable {what} at {path}: {exc}") from exc
+        fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno not in (errno.EISDIR, errno.ENXIO):  # a directory opened to write; a socket
+            raise
+    else:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+        os.close(fd)
+    raise CorruptStateError(f"{path} is not a regular file")
+
+
+def read_bytes(path: Path) -> bytes:
+    with open(_open(path), "rb") as f:
+        return f.read()
+
+
+def decode_json(raw: bytes, what: str, decode: Optional[Callable[[Any], Any]] = None) -> Any:
+    """The JSON in raw, through decode when given; CorruptStateError if it
+    does not parse or decode (bad json, hex, base64 or UTF-8, a missing key,
+    a wrong type, nesting too deep, or an invariant a record checks)."""
+    try:
+        obj = json.loads(raw)
+        return obj if decode is None else decode(obj)
+    except (ValueError, KeyError, TypeError, RecursionError, ContractViolation) as exc:
+        raise CorruptStateError(f"unparseable {what}: {exc}") from exc
+
+
+def read_json(path: Path, what: str = "artifact", decode: Optional[Callable[[Any], Any]] = None) -> Any:
+    """The JSON artifact at path, through decode when given (decode_json)."""
+    return decode_json(read_bytes(path), f"{what} at {path}", decode)
 
 
 def read_lines(path: Path, pos: int = 0) -> tuple[list[bytes], int]:
     """The complete lines of a journal past byte offset pos, without their
     newlines, and the offset just after the last of them."""
-    with open(path, "rb") as f:
+    with open(_open(path), "rb") as f:
         f.seek(pos)
         data = f.read()
     end = data.rfind(b"\n") + 1
@@ -119,7 +155,7 @@ def append_line(path: Path, line: bytes, pos: Optional[int] = None) -> int:
     """Cut the journal at pos, the end of its last complete line (found
     here when None), then append line and its newline and fsync. Returns
     the new end; callers serialize appends."""
-    with open(path, "a+b") as f:
+    with open(_open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND), "a+b") as f:
         size = f.seek(0, os.SEEK_END)
         if pos is None:  # only a torn tail costs a whole read
             f.seek(max(0, size - 1))
@@ -143,7 +179,7 @@ def locked(lock_path: Path, *, exclusive: bool = True, blocking: bool = True):
     automatically when its descriptors close.
     """
     lock_path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    fd = _open(lock_path, os.O_RDWR | os.O_CREAT)
     flags = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
     if not blocking:
         flags |= fcntl.LOCK_NB
@@ -155,11 +191,14 @@ def locked(lock_path: Path, *, exclusive: bool = True, blocking: bool = True):
 
 
 def remove_if_exists(path: Path) -> bool:
+    """Remove the file at path, or a directory the host put in its place."""
     try:
         os.unlink(path)
-        return True
     except FileNotFoundError:
         return False
+    except IsADirectoryError:
+        shutil.rmtree(path, ignore_errors=True)
+    return True
 
 
 class _Spare(NamedTuple):
@@ -262,12 +301,7 @@ class Spares:
 
 
 def _drop(spare: _Spare) -> None:
-    """Close a spare and unlink its name, whatever that names by now."""
+    """Close a spare and remove its name, whatever that names by now."""
     os.close(spare.fd)
-    try:
-        os.unlink(spare.path)
-    except IsADirectoryError:
-        with suppress(OSError):
-            os.rmdir(spare.path)
-    except OSError:
-        pass
+    with suppress(OSError):
+        remove_if_exists(spare.path)

@@ -61,10 +61,6 @@ DEFAULT_KILL_GRACE_S = 5.0
 WAIT_POLL_S = 0.05
 
 
-def _statedir(root: Path, cid: str) -> StateDir:
-    return StateDir(Path(root), cid)
-
-
 def _require_record(sd: StateDir):
     rec = sd.read_record()
     if rec is None:
@@ -106,7 +102,7 @@ def cmd_create(root: Path, cid: str, bundle_path: Path, *, reuse_bundle: bool = 
     that fails leaves no record behind.
     """
     bundle = load_bundle(Path(bundle_path))
-    sd = _statedir(root, cid)
+    sd = StateDir(root, cid)
     sd.init(bundle.path, bundle.c4.session_seed, reuse_bundle=reuse_bundle)
     rec = _require_record(sd)
     return {"cid": cid, "state": rec.state.value, "ver": rec.ver}
@@ -118,7 +114,7 @@ def cmd_delete(root: Path, cid: str, *, force: bool = False) -> dict:
     Deleting an absent instance is an idempotent success (it is already in
     the initial state).
     """
-    sd = _statedir(root, cid)
+    sd = StateDir(root, cid)
     try:
         rec = sd.read_record()
     except CorruptStateError:
@@ -146,7 +142,7 @@ def cmd_delete(root: Path, cid: str, *, force: bool = False) -> dict:
 
 def cmd_start(root: Path, cid: str) -> dict:
     """Launch or reattach to the anchor and move the instance to Running."""
-    sd = _statedir(root, cid)
+    sd = StateDir(root, cid)
     rec = _require_record(sd)
     if rec.state in TERMINAL_STATES:
         raise IllegalStateError(f"{cid}: cannot start a {rec.state.value} instance")
@@ -201,7 +197,7 @@ def cmd_state(root: Path, cid: str) -> dict:
     time, then identifier) gives the phase's last exit; the newest record
     of an executed stage gives the trust and health evidence.
     """
-    sd = _statedir(root, cid)
+    sd = StateDir(root, cid)
     rec = _require_record(sd)
     pid = rec.anchor_pid or sd.read_anchor_pid()
     alive = rec.state is LifecycleState.RUNNING and _anchor_alive(sd, pid)
@@ -259,19 +255,15 @@ def _record_anchor_exit_event(sd: StateDir) -> None:
     is represented by the killed event, not an anchor error.
     """
     obs = sd.read_anchor_exit()
-    if obs is None:
+    if obs is None or (obs["term_signal"] is not None and sd.kill_marker_path.exists()):
         return
-    code = int(obs.get("exit_code", 1))
-    sig = obs.get("term_signal")
-    if sig is not None and sd.kill_marker_path.exists():
-        return
-    reason = TerminationReason.NORMAL if code == 0 else TerminationReason.ERROR
+    code = obs["exit_code"]
     sd.append_event(
         TerminationEvent(
             src=EventSource.REE,
             code=code,
-            reason=reason,
-            observed_at=float(obs.get("finished_at", time.time())),
+            reason=TerminationReason.NORMAL if code == 0 else TerminationReason.ERROR,
+            observed_at=obs["finished_at"],
             origin="anchor-exit",
         )
     )
@@ -305,7 +297,7 @@ def cmd_wait(root: Path, cid: str, *, timeout: Optional[float] = None) -> dict:
     Repeated waits observe the same terminal state and exit code. A timeout
     leaves the record untouched and exits distinctly.
     """
-    sd = _statedir(root, cid)
+    sd = StateDir(root, cid)
     _require_record(sd)
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
@@ -334,7 +326,7 @@ def cmd_kill(
     Kill on a terminal instance is a no-op success; kill on a prepared
     instance stops it without ever starting the anchor.
     """
-    sd = _statedir(root, cid)
+    sd = StateDir(root, cid)
     rec = _require_record(sd)
     if rec.state in TERMINAL_STATES:
         return {"cid": cid, "state": rec.state.value, "noop": True}

@@ -54,7 +54,6 @@ import os
 import select
 import threading
 import time
-from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -69,11 +68,10 @@ from .errors import (
     CorruptStateError,
     ExactlyOnceViolation,
     IllegalStateError,
-    PrepareFailed,
     StageNotFound,
     warn,
 )
-from .fsutil import Spares, read_json, remove_if_exists
+from .fsutil import Spares, read_bytes, read_json, remove_if_exists
 from .lifecycle import (
     EventSource,
     LifecycleState,
@@ -101,11 +99,6 @@ STAGE_NOT_FOUND_RC = 127
 RECOVERY_AMBIGUOUS_RC = 125
 
 
-class StagePipelineState(str, Enum):
-    COMPLETED = "completed"
-    FAILED = "failed"
-
-
 class WorkItem(NamedTuple):
     """An accepted request bound to its stage identifier."""
 
@@ -117,7 +110,7 @@ class WorkItem(NamedTuple):
 
 class PipelineResult(NamedTuple):
     request_id: str
-    terminal: StagePipelineState
+    terminal: ResponseStatus
     eid: Optional[str] = None
     rc: Optional[int] = None
     reject_reason: Optional[str] = None
@@ -137,9 +130,9 @@ class ServeSummary(Record):
         self.elapsed_s = 0.0
 
     def record(self, result: PipelineResult) -> None:
-        if result.terminal is StagePipelineState.COMPLETED:
+        if result.terminal is ResponseStatus.COMPLETED:
             self.completed += 1
-        elif result.reject_reason is not None:
+        elif result.terminal is ResponseStatus.REJECTED:
             self.rejected += 1
         else:
             self.failed += 1
@@ -259,9 +252,8 @@ class ServeLoop:
             claimed_at = time.time()
             request_id = claimed.stem
             try:
-                envelope = read_json(claimed, "request envelope")
-                req = request_from_envelope(envelope)
-            except (ValueError, CorruptStateError) as exc:
+                req = read_json(claimed, "request envelope", request_from_envelope)
+            except CorruptStateError as exc:
                 warn(self.sd.cid, "malformed request", request_id=request_id, error=str(exc))
                 return self._finalize_rejected(claimed, request_id, RejectReason.AUTH_MAC_INVALID)
             # Catch up on what other serve instances accepted since.
@@ -300,7 +292,7 @@ class ServeLoop:
             except ExactlyOnceViolation:
                 pass  # a replayed request already has its rejection on disk
         remove_if_exists(claimed)
-        return PipelineResult(request_id=request_id, terminal=StagePipelineState.FAILED, reject_reason=reason.value)
+        return PipelineResult(request_id=request_id, terminal=ResponseStatus.REJECTED, reject_reason=reason.value)
 
     # -- execute + finalize (by the loop that claimed, outside the lock) ------
 
@@ -311,7 +303,7 @@ class ServeLoop:
         try:
             crash_if("execute:pre-prepare")
             handle = self.adapter.prepare(self.sd.cid, eid, req.stage)
-        except (StageNotFound, PrepareFailed, C4Error) as exc:
+        except C4Error as exc:
             rc = STAGE_NOT_FOUND_RC if isinstance(exc, StageNotFound) else PREPARE_FAILED_RC
             return self._finalize_outcome(item, rc=rc, timings=timings, failure_reason=f"prepare:{exc}")
         timings["prepared_at"] = time.time()
@@ -361,7 +353,7 @@ class ServeLoop:
         self._respond(record, stdout, item.claimed_path)
         return PipelineResult(
             request_id=req.request_id,
-            terminal=StagePipelineState.COMPLETED if rc == 0 else StagePipelineState.FAILED,
+            terminal=ResponseStatus.COMPLETED if rc == 0 else ResponseStatus.FAILED,
             eid=eid,
             rc=rc,
         )
@@ -561,14 +553,14 @@ class ServeLoop:
             if record.request_id != request_id:
                 remove_if_exists(claimed)
                 return "dropped_malformed"
-            self._respond(record, self.sd.run_log_path(eid).read_bytes(), claimed)
+            self._respond(record, read_bytes(self.sd.run_log_path(eid)), claimed)
             return "response_replayed"
 
         try:
-            req = request_from_envelope(read_json(claimed, "request envelope"))
+            req = read_json(claimed, "request envelope", request_from_envelope)
             if req.request_id != request_id or authenticate_request(req, self._session, self.sd.cid):
-                raise ValueError("the envelope is another request's, or forged")
-        except (ValueError, CorruptStateError):
+                raise CorruptStateError("the envelope is another request's, or forged")
+        except CorruptStateError:
             remove_if_exists(claimed)
             return "dropped_malformed"
 

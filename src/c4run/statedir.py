@@ -66,14 +66,14 @@ protocol layer). What this module does guarantee:
   the only truth, so a lost or missing ring delays serve by one poll
   interval and nothing else.
 
-A corrupt (present but unparseable) state.json raises, and is never treated
-as absent: conflating the two would let anyone reset the lifecycle by
-truncating a file.
+A present file that is not a regular file or does not decode is corrupt,
+as fsutil alone decides, and raises: it is never read as absent (anchor.pid
+reads as unknown), or anyone could reset the lifecycle by truncating a file.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import shutil
 import stat
@@ -205,8 +205,25 @@ def record_from_json(obj: dict) -> CompositeStateRecord:
         state=LifecycleState(obj["state"]),
         ver=int(obj["ver"]),
         exit_code=obj.get("exit_code"),
-        anchor_pid=obj.get("anchor_pid"),
+        anchor_pid=_pid(obj.get("anchor_pid")),
     )
+
+
+def _pid(value) -> Optional[int]:
+    """None or a positive int, which no kill(2) reads as a process group."""
+    if value is not None and (type(value) is not int or value < 1):
+        raise ValueError(f"not a pid: {value!r}")
+    return value
+
+
+def _anchor_exit(obj: dict) -> dict:
+    """obj, once its exit_code, term_signal and finished_at are what wait and kill reduce."""
+    code, sig = obj["exit_code"], obj["term_signal"]
+    if type(code) is not int or not 0 <= code <= 255 or type(sig) not in (int, type(None)):
+        raise ValueError("anchor_exit.json holds no exit status")
+    if not math.isfinite(obj["finished_at"]):
+        raise ValueError("anchor_exit.json holds no exit time")
+    return obj
 
 
 def event_to_json(ev: TerminationEvent) -> dict:
@@ -447,13 +464,9 @@ class StateDir:
         if not self.is_created():
             return None
         try:
-            obj = fsutil.read_json(self.state_path, "state.json")
+            return fsutil.read_json(self.state_path, "state.json", record_from_json)
         except FileNotFoundError:
             raise CorruptStateError(f"{self.cid}: created marker present but state.json missing")
-        try:
-            return record_from_json(obj)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CorruptStateError(f"{self.cid}: malformed state.json: {exc}") from exc
 
     def update_record(
         self,
@@ -518,13 +531,9 @@ class StateDir:
     def load_session_params(self) -> SessionState:
         """session.json alone, without the journal's accepted requests."""
         try:
-            obj = fsutil.read_json(self.session_path, "session.json")
+            return fsutil.read_json(self.session_path, "session.json", SessionState.from_json)
         except FileNotFoundError:
             raise AbsentRecordError(f"{self.cid}: no session") from None
-        try:
-            return SessionState.from_json(obj)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CorruptStateError(f"{self.cid}: malformed session.json: {exc}") from exc
 
     def save_session(self, session: SessionState) -> None:
         """Replace session.json; create and start are its only writers."""
@@ -718,11 +727,7 @@ class StateDir:
         fsutil.write_once_bytes(self.meta_path(eid), payload, spares)
 
     def read_stage_record(self, eid: str) -> StageRecord:
-        obj = fsutil.read_json(self.meta_path(eid), "meta.json")
-        try:
-            return StageRecord.from_json(eid, obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptStateError(f"malformed meta.json for {eid}: {exc}") from exc
+        return fsutil.read_json(self.meta_path(eid), "meta.json", lambda obj: StageRecord.from_json(eid, obj))
 
     def list_eids(self) -> list[str]:
         if not self.enclaves_dir.is_dir():
@@ -767,23 +772,23 @@ class StateDir:
             return []
 
     def _parse_events(self, lines: list[bytes]) -> list[TerminationEvent]:
-        try:
-            return [event_from_json(json.loads(line)) for line in lines]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CorruptStateError(f"{self.cid}: malformed event line: {exc}") from exc
+        return [fsutil.decode_json(line, f"line {n} of {self.events_path}", event_from_json)
+                for n, line in enumerate(lines, 1)]
 
     # -- anchor bookkeeping ---------------------------------------------------
 
     def read_anchor_exit(self) -> Optional[dict]:
+        """The supervisor's record of the anchor's exit, or None before it."""
         try:
-            return fsutil.read_json(self.anchor_exit_path, "anchor_exit.json")
+            return fsutil.read_json(self.anchor_exit_path, "anchor_exit.json", _anchor_exit)
         except FileNotFoundError:
             return None
 
     def read_anchor_pid(self) -> Optional[int]:
+        """The pid in anchor.pid; None, meaning unknown, on any failure."""
         try:
-            return int(fsutil.read_json(self.anchor_pid_path, "anchor.pid")["pid"])
-        except (FileNotFoundError, KeyError, ValueError, CorruptStateError):
+            return fsutil.read_json(self.anchor_pid_path, "anchor.pid", lambda obj: _pid(obj["pid"]))
+        except (FileNotFoundError, CorruptStateError):
             return None
 
 

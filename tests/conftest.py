@@ -7,7 +7,19 @@ import pytest
 
 from c4run import runtime
 from c4run.bundle import write_sleep_anchor_bundle, write_test_bundle
+from c4run.protocol import StageRequest, build_request, request_to_envelope
 from c4run.statedir import StateDir
+
+
+def spool(sd: StateDir, stage: str = "hello", payload: bytes = b"p", n: int = 1) -> list[StageRequest]:
+    """Build and spool n requests the way the anchor would."""
+    session = sd.load_session()
+    reqs = []
+    for _ in range(n):
+        req = build_request(session, stage, payload)
+        sd.spool_request(request_to_envelope(req), req.request_id)
+        reqs.append(req)
+    return reqs
 
 
 @pytest.fixture

@@ -38,9 +38,13 @@ def _req(stage="hello"):
     return build_request(session, stage, b"payload")
 
 
+def _sim(tmp_path: Path, table=TABLE) -> SimulatorAdapter:
+    return SimulatorAdapter(table, receipts_path=tmp_path / "exec.receipts")
+
+
 @pytest.fixture
-def sim():
-    return SimulatorAdapter(TABLE)
+def sim(tmp_path):
+    return _sim(tmp_path)
 
 
 def test_hello_stage(sim):
@@ -54,8 +58,8 @@ def test_hello_stage(sim):
     sim.destroy(handle)
 
 
-def test_aesgcm_stage_matches_independent_aead():
-    adapter = SimulatorAdapter(TABLE)
+def test_aesgcm_stage_matches_independent_aead(tmp_path):
+    adapter = _sim(tmp_path)
     handle = adapter.prepare("c1", "eid-0001", "aesgcm")
     first = adapter.execute(handle, _req("aesgcm"))
     adapter.destroy(handle)
@@ -70,12 +74,13 @@ def test_aesgcm_stage_matches_independent_aead():
     assert first.stdout == AESGCM_1K_SEED7_TAG_HEX.encode() + b"\n"
 
 
-def test_sim_loads_the_cipher_only_when_an_aesgcm_stage_runs():
+def test_sim_loads_the_cipher_only_when_an_aesgcm_stage_runs(tmp_path):
     code = (
         "import sys\n"
+        "from pathlib import Path\n"
         "from c4run.backends.sim import SimulatorAdapter\n"
         "from c4run.protocol import SessionState, build_request\n"
-        f"adapter = SimulatorAdapter({TABLE!r})\n"
+        f"adapter = SimulatorAdapter({TABLE!r}, receipts_path=Path({str(tmp_path / 'exec.receipts')!r}))\n"
         "req = build_request(SessionState(cid='c1', epoch=1, sk=bytes(32)), 'x', b'')\n"
         "for eid, stage in (('eid-1', 'hello'), ('eid-2', 'aesgcm')):\n"
         "    handle = adapter.prepare('c1', eid, stage)\n"
@@ -136,8 +141,8 @@ def test_unknown_stage_and_handle_lifecycle(sim):
     sim.destroy(h3)  # destroy without execute (cancelled stage)
 
 
-def test_latency_under_concurrency_all_complete():
-    adapter = SimulatorAdapter(TABLE)
+def test_latency_under_concurrency_all_complete(tmp_path):
+    adapter = _sim(tmp_path)
     results = []
     lock = threading.Lock()
 
@@ -156,8 +161,8 @@ def test_latency_under_concurrency_all_complete():
     assert results == [0] * 8
 
 
-def test_measurement_stability_and_sensitivity():
-    adapter = SimulatorAdapter(TABLE)
+def test_measurement_stability_and_sensitivity(tmp_path):
+    adapter = _sim(tmp_path)
     hashes = set()
     for i in range(100):
         handle = adapter.prepare("c1", f"eid-{i:04d}", "hello")
@@ -165,7 +170,7 @@ def test_measurement_stability_and_sensitivity():
         adapter.destroy(handle)
     assert len(hashes) == 1
 
-    changed = SimulatorAdapter({**TABLE, "hello": {"behavior": "hello", "busy_ms": 1}})
+    changed = _sim(tmp_path, {**TABLE, "hello": {"behavior": "hello", "busy_ms": 1}})
     handle = changed.prepare("c1", "eid-0001", "hello")
     assert changed.execute(handle, _req()).evidence.measurement_hash not in hashes
     changed.destroy(handle)
@@ -173,7 +178,7 @@ def test_measurement_stability_and_sensitivity():
 
 def test_receipts_written_per_execution(tmp_path):
     receipts = tmp_path / "exec.receipts"
-    adapter = SimulatorAdapter(TABLE, receipts_path=receipts)
+    adapter = _sim(tmp_path)
     req = _req()
     handle = adapter.prepare("c1", "eid-0001", "hello")
     adapter.execute(handle, req)
@@ -214,6 +219,7 @@ def _localexec(tmp_path: Path, table=None) -> LocalExecAdapter:
         },
         rootfs=rootfs,
         work_root=work,
+        receipts_path=tmp_path / "exec.receipts",
     )
 
 
@@ -273,12 +279,10 @@ def test_localexec_rejects_escapes_and_missing_programs(tmp_path):
 
 
 def test_registry_dispatch(tmp_path):
-    assert isinstance(create_adapter("sim", TABLE), SimulatorAdapter)
     rootfs = tmp_path / "rootfs"
     rootfs.mkdir()
-    adapter = create_adapter("localexec", {}, rootfs=rootfs, work_root=tmp_path)
-    assert isinstance(adapter, LocalExecAdapter)
+    paths = {"rootfs": rootfs, "work_root": tmp_path, "receipts_path": tmp_path / "exec.receipts"}
+    assert isinstance(create_adapter("sim", TABLE, **paths), SimulatorAdapter)
+    assert isinstance(create_adapter("localexec", {}, **paths), LocalExecAdapter)
     with pytest.raises(UsageError):
-        create_adapter("sgx", TABLE)
-    with pytest.raises(UsageError):
-        create_adapter("localexec", {})
+        create_adapter("sgx", TABLE, **paths)

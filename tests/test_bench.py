@@ -72,7 +72,9 @@ def test_audit_flags_a_complete_receipt_line_that_is_not_a_receipt(root, sim_bun
     sd = _healthy_round(root, sim_bundle, "a10")
     with open(sd.receipts_path, "ab") as f:
         f.write(b"not json\n{\"eid\": \"torn")  # a complete bad line, then a torn tail
-    assert audit_artifacts(sd).violations == ["exec.receipts line 5 is not a receipt: b'not json'"]
+    assert audit_artifacts(sd).violations == [
+        f"unparseable line 5 of {sd.receipts_path}: Expecting value: line 1 column 1 (char 0)"
+    ]
     runtime.cmd_delete(root, "a10")
 
 

@@ -11,17 +11,11 @@ from c4run.backends import load_receipts
 from c4run.crashpoints import CRASH_POINTS, InjectedCrash, armed
 from c4run.errors import IllegalStateError
 from c4run.fsutil import read_json
-from c4run.protocol import ResponseStatus, build_request, request_to_envelope, response_from_envelope
+from c4run.protocol import ResponseStatus, response_from_envelope
 from c4run.serve import RECOVERY_AMBIGUOUS_RC, ServeLoop, claim_next
 from c4run.statedir import Acceptance, StateDir
+from conftest import spool
 from oracles import find_stage_record
-
-
-def _spool_one(sd: StateDir, stage="hello"):
-    session = sd.load_session()
-    req = build_request(session, stage, b"p")
-    sd.spool_request(request_to_envelope(req), req.request_id)
-    return req
 
 
 def _crash_at(sd: StateDir, point: str):
@@ -45,7 +39,7 @@ def test_recover_clean_state_is_empty(running_instance):
 
 def test_crash_before_accept_commit_requeues_and_completes(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "accept:pre-commit")
     assert sd.claimed_requests() != []
     assert req.request_id not in sd.load_session().seen_request_ids
@@ -60,7 +54,7 @@ def test_crash_before_accept_commit_requeues_and_completes(running_instance):
 
 def test_crash_after_commit_resumes_without_revalidation(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "accept:post-commit")
     assert req.request_id in sd.load_session().seen_request_ids
 
@@ -74,9 +68,9 @@ def test_torn_journal_line_is_no_acceptance(running_instance):
     # A serve that died mid-append left its request claimed and half its
     # journal line written: that acceptance never committed.
     sd = running_instance
-    first = _spool_one(sd)
+    (first,) = spool(sd)
     ServeLoop(sd, workers=1).process_next()
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     assert claim_next(sd) is not None
     line = f"{req.request_id} {req.nonce.hex()}\n".encode()
     with open(sd.accepts_path, "ab") as f:
@@ -95,7 +89,7 @@ def test_torn_journal_line_is_no_acceptance(running_instance):
 
 
 def _serve_one(sd: StateDir):
-    _spool_one(sd)
+    spool(sd)
     assert ServeLoop(sd, workers=1).process_next().terminal.value == "completed"
 
 
@@ -135,7 +129,7 @@ def test_a_complete_garbage_event_line_is_corruption(running_instance, capsys):
 
 def test_recovery_drops_a_claimed_envelope_whose_mac_fails(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "accept:post-commit")
     claimed = sd.claimed_path(req.request_id)
     envelope = read_json(claimed, "request envelope")
@@ -149,7 +143,7 @@ def test_recovery_drops_a_claimed_envelope_whose_mac_fails(running_instance):
 
 def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "accept:post-commit")
     eid = f"eid-{req.epoch}-{req.seq}"
     sd.enclave_dir(eid).mkdir()  # what a crash after the bind's mkdir leaves
@@ -163,7 +157,7 @@ def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_
 
 def test_crash_in_execution_window_fails_safely_never_reexecutes(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "execute:pre-backend")
 
     actions = ServeLoop(sd).recover()
@@ -181,9 +175,9 @@ def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
 
     sd = running_instance
     for _ in range(2):
-        _spool_one(sd)
+        spool(sd)
         ServeLoop(sd, workers=1).process_next()
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "execute:pre-backend")
 
     assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
@@ -199,7 +193,7 @@ def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
 def test_a_started_markers_body_crashes_nothing(running_instance, body, capsys):
     # The marker is host state; only its name is read.
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "execute:pre-backend")
     sd.started_marker_path(req.request_id).write_bytes(body)
     for verb in (["state", sd.cid], ["kill", sd.cid, "--grace", "0.2"]):
@@ -211,12 +205,12 @@ def test_a_started_markers_body_crashes_nothing(running_instance, body, capsys):
 
 def test_a_started_marker_cannot_bind_another_stages_outcome(running_instance):
     sd = running_instance
-    first = _spool_one(sd, stage="fail")
+    (first,) = spool(sd, stage="fail")
     ServeLoop(sd, workers=1).process_next()
     earlier = find_stage_record(sd, first.request_id)
     assert (earlier.eid, earlier.rc) == ("eid-1-0", 7)
     before = sd.meta_path(earlier.eid).read_bytes(), sd.response_path(first.request_id).read_bytes()
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "execute:pre-backend")
     forged = {"request_id": req.request_id, "eid": earlier.eid, "stage": "fail", "ts": time.time()}
     sd.started_marker_path(req.request_id).write_text(json.dumps(forged))
@@ -232,7 +226,7 @@ def test_a_claim_whose_stage_records_another_request_is_dropped(running_instance
     # A planted claim and marker whose id shares a recorded request's
     # (epoch, seq) cannot have been accepted: nothing answers it.
     sd = running_instance
-    first = _spool_one(sd)
+    (first,) = spool(sd)
     ServeLoop(sd, workers=1).process_next()
     earlier = find_stage_record(sd, first.request_id)
     meta = sd.meta_path(earlier.eid).read_bytes()
@@ -249,7 +243,7 @@ def test_an_ambiguous_record_is_stamped_when_its_marker_was_written(running_inst
     # The marker is written into a spare stocked earlier: its mtime must
     # still be the time of the write.
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     loop = ServeLoop(sd, workers=1)
     loop.spares.stock()
     for name in os.listdir(sd.spare_dir):
@@ -267,7 +261,7 @@ def test_an_ambiguous_record_is_stamped_when_its_marker_was_written(running_inst
 
 def test_crash_after_meta_replays_response_byte_identically(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "response:pre-write")
     record = find_stage_record(sd, req.request_id)
     assert record is not None  # executed and recorded, response missing
@@ -301,7 +295,7 @@ def test_crash_after_meta_replays_response_byte_identically(running_instance):
 
 def test_crash_after_response_only_cleans_up(running_instance):
     sd = running_instance
-    req = _spool_one(sd)
+    (req,) = spool(sd)
     _crash_at(sd, "response:post-write")
     actions = ServeLoop(sd).recover()
     assert actions == [{"request_id": req.request_id, "action": "cleaned"}]
@@ -338,7 +332,7 @@ def test_recovered_instance_passes_audits(running_instance):
 
     sd = running_instance
     for point in ("accept:pre-commit", "finalize:pre-meta", "finalize:post-meta"):
-        req = _spool_one(sd)
+        (req,) = spool(sd)
         _crash_at(sd, point)
         ServeLoop(sd).recover()
         loop = ServeLoop(sd, workers=1)

@@ -29,22 +29,12 @@ from c4run.protocol import (
     response_to_envelope,
     verify_response,
 )
-from c4run.serve import ServeLoop, StagePipelineState, claim_next
+from c4run.serve import ServeLoop, claim_next
 from c4run.statedir import StateDir
+from conftest import spool
 from oracles import find_stage_record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _spool(sd: StateDir, stage="hello", payload=b"p", n=1):
-    """Build and spool n requests the way the anchor would."""
-    session = sd.load_session()
-    reqs = []
-    for _ in range(n):
-        req = build_request(session, stage, payload)
-        sd.spool_request(request_to_envelope(req), req.request_id)
-        reqs.append(req)
-    return reqs
 
 
 def _response(sd: StateDir, rid):
@@ -57,10 +47,10 @@ def _annotations(sd: StateDir) -> dict:
 
 def test_single_request_full_pipeline(running_instance):
     sd = running_instance
-    (req,) = _spool(sd)
+    (req,) = spool(sd)
     loop = ServeLoop(sd, workers=1)
     result = loop.process_next()
-    assert result.terminal is StagePipelineState.COMPLETED
+    assert result.terminal is ResponseStatus.COMPLETED
     eid = f"eid-{req.epoch}-{req.seq}"
     assert result.eid == eid
 
@@ -89,7 +79,7 @@ def test_served_meta_json_holds_only_what_nothing_else_holds(running_instance):
     # Its path names the instance and (epoch, seq), the bundle the backend,
     # and rc the status.
     sd = running_instance
-    _spool(sd)
+    spool(sd)
     result = ServeLoop(sd, workers=1).process_next()
     assert set(json.loads(sd.meta_path(result.eid).read_bytes())) == {
         "request_id", "stage", "tee_type", "rc", "evidence_type", "measurement_hash",
@@ -99,10 +89,10 @@ def test_served_meta_json_holds_only_what_nothing_else_holds(running_instance):
 
 def test_replayed_request_rejected_without_new_eid(running_instance):
     sd = running_instance
-    (req,) = _spool(sd)
+    (req,) = spool(sd)
     envelope = request_to_envelope(req)
     loop = ServeLoop(sd, workers=1)
-    assert loop.process_next().terminal is StagePipelineState.COMPLETED
+    assert loop.process_next().terminal is ResponseStatus.COMPLETED
     original = sd.response_path(req.request_id).read_bytes()
     eids = sd.list_eids()
 
@@ -124,7 +114,7 @@ def test_rejected_request_gets_authenticated_negative_response(running_instance)
     sd.spool_request(env, req.request_id)
     loop = ServeLoop(sd, workers=1)
     result = loop.process_next()
-    assert result.terminal is StagePipelineState.FAILED
+    assert result.terminal is ResponseStatus.REJECTED
     assert result.reject_reason == "bind_cid_mismatch"
     resp = _response(sd, req.request_id)
     assert resp.status is ResponseStatus.REJECTED and resp.eid is None
@@ -136,7 +126,7 @@ def test_rejected_request_gets_authenticated_negative_response(running_instance)
 def test_claim_next_empty_and_exactly_once(running_instance):
     sd = running_instance
     assert claim_next(sd) is None
-    _spool(sd, n=1)
+    spool(sd, n=1)
     winners = []
     barrier = threading.Barrier(4)
 
@@ -156,7 +146,7 @@ def test_claim_next_empty_and_exactly_once(running_instance):
 
 def test_hundred_requests_four_serve_instances_disjoint(running_instance):
     sd = running_instance
-    reqs = _spool(sd, n=100)
+    reqs = spool(sd, n=100)
     summaries = []
     lock = threading.Lock()
 
@@ -190,7 +180,7 @@ def test_hundred_requests_four_serve_instances_disjoint(running_instance):
 
 def test_two_serve_loops_name_every_stage_after_its_request(running_instance):
     sd = running_instance
-    reqs = _spool(sd, n=32)
+    reqs = spool(sd, n=32)
 
     def serve():
         ServeLoop(StateDir(sd.path.parent, sd.cid), workers=2).run(mode="until-idle")
@@ -217,14 +207,14 @@ def test_second_serve_loop_sees_the_first_ones_accepts(running_instance):
     sd = running_instance
     loop_a = ServeLoop(sd, workers=1)
     loop_b = ServeLoop(StateDir(sd.path.parent, sd.cid), workers=1)
-    _spool(sd)
-    assert loop_b.process_next().terminal is StagePipelineState.COMPLETED
+    spool(sd)
+    assert loop_b.process_next().terminal is ResponseStatus.COMPLETED
 
     session = sd.load_session()
     earlier = build_request(session, "hello", b"p")
     r = build_request(session, "hello", b"p")
     sd.spool_request(request_to_envelope(r), r.request_id)
-    assert loop_a.process_next().terminal is StagePipelineState.COMPLETED
+    assert loop_a.process_next().terminal is ResponseStatus.COMPLETED
     same_nonce = build_request(session, "hello", b"p")._replace(nonce=r.nonce, mac=b"")
     same_nonce = same_nonce._replace(mac=request_mac(session.sk, same_nonce))
 
@@ -243,7 +233,7 @@ def test_serve_cost_does_not_grow_with_the_epoch(running_instance, monkeypatch):
     # session.json and reads the session at most once.
     sd = running_instance
     after_start = sd.session_path.read_bytes()
-    _spool(sd, n=200)
+    spool(sd, n=200)
     calls = Counter()
     for name in ("load_session", "save_session"):
         def counted(self, *args, _name=name, _original=getattr(StateDir, name)):
@@ -261,7 +251,7 @@ def test_serve_cost_does_not_grow_with_the_epoch(running_instance, monkeypatch):
 def _serve_poison_then_honest(sd: StateDir, request_id: str, text: str):
     """Spool a host-written request file, then an honest request, and serve both."""
     sd.request_path(request_id).write_text(text)
-    (honest,) = _spool(sd)
+    (honest,) = spool(sd)
     summary = ServeLoop(sd, workers=1).run(mode="until-idle")
     assert (summary.completed, summary.rejected) == (1, 1)
     assert _response(sd, request_id).reject_reason.value == "auth_mac_invalid"
@@ -339,7 +329,7 @@ def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):
     # One loop, stages outlasting the poll: an iteration that ran a stage
     # never counts as idle.
     sd = running_instance
-    _spool(sd, stage="sleep", n=3)  # 50 ms each in the sim table
+    spool(sd, stage="sleep", n=3)  # 50 ms each in the sim table
     summary = ServeLoop(sd, workers=1, idle_polls=1, poll_interval=0.01).run(mode="until-idle")
     assert summary.stop_reason == "idle"
     assert summary.completed == 3
@@ -349,7 +339,7 @@ def test_until_idle_never_counts_a_full_iteration_as_idle(running_instance):
 def test_four_workers_execute_four_stages_at_once(running_instance):
     # Each execute returns only once all four are inside execute together.
     sd = running_instance
-    _spool(sd, n=4)
+    spool(sd, n=4)
     loop = ServeLoop(sd, workers=4)
     barrier = threading.Barrier(4, timeout=10)
     execute = loop.adapter.execute
@@ -367,7 +357,7 @@ def test_more_workers_than_cores_count_every_request_once(running_instance):
     # A short switch interval preempts the loops often: a lost update to the
     # shared counts, or a request run twice, would show here.
     sd = running_instance
-    _spool(sd, n=48)
+    spool(sd, n=48)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -409,7 +399,7 @@ def test_idle_serve_wakes_when_a_request_is_spooled(running_instance):
     t.start()
     time.sleep(0.3)  # serve has scanned the empty spool and is waiting
     spooled_at = time.time()
-    (req,) = _spool(sd)
+    (req,) = spool(sd)
     t.join(timeout=15)
     assert not t.is_alive()
     assert out["summary"].completed == 1
@@ -450,7 +440,7 @@ def test_until_done_stops_when_the_supervisor_rings_the_anchor_exit(root, sim_bu
 def test_wake_that_is_not_a_fifo_leaves_serve_polling(running_instance):
     sd = running_instance
     sd.wake_path.write_bytes(b"")  # readable at once, forever, if serve waited on it
-    _spool(sd)
+    spool(sd)
     scans = []
     real = sd.pending_requests
 
@@ -468,10 +458,10 @@ def test_wake_that_is_not_a_fifo_leaves_serve_polling(running_instance):
 
 def test_fail_stage_drives_instance_failed_under_fail_fast(running_instance):
     sd = running_instance
-    (req,) = _spool(sd, stage="fail")
+    (req,) = spool(sd, stage="fail")
     loop = ServeLoop(sd, workers=1, fail_fast=True)
     result = loop.process_next()
-    assert result.terminal is StagePipelineState.FAILED and result.rc == 7
+    assert result.terminal is ResponseStatus.FAILED and result.rc == 7
     rec = sd.read_record()
     assert rec.state is L.FAILED and rec.exit_code == 7
     assert sd.read_stage_record(result.eid).rc == 7
@@ -482,7 +472,7 @@ def test_fail_stage_drives_instance_failed_under_fail_fast(running_instance):
 
 def test_fail_stage_without_fail_fast_keeps_running(running_instance):
     sd = running_instance
-    _spool(sd, stage="fail")
+    spool(sd, stage="fail")
     loop = ServeLoop(sd, workers=1, fail_fast=False)
     result = loop.process_next()
     assert result.rc == 7
@@ -497,8 +487,8 @@ def test_aesgcm_stage_seals_and_its_response_verifies(running_instance):
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
     sd = running_instance
-    (req,) = _spool(sd, stage="aesgcm")
-    assert ServeLoop(sd, workers=1).process_next().terminal is StagePipelineState.COMPLETED
+    (req,) = spool(sd, stage="aesgcm")
+    assert ServeLoop(sd, workers=1).process_next().terminal is ResponseStatus.COMPLETED
     resp = _response(sd, req.request_id)
     assert verify_response(resp, sd.load_session(), {req.request_id})
     plaintext = random.Random(7).randbytes(1024 * 1024)  # the sim bundle's aesgcm entry
@@ -509,18 +499,18 @@ def test_aesgcm_stage_seals_and_its_response_verifies(running_instance):
 def test_successful_stage_leaves_instance_record_unwritten(running_instance):
     sd = running_instance
     before = sd.read_record()
-    _spool(sd)
+    spool(sd)
     result = ServeLoop(sd, workers=1).process_next()
-    assert result.terminal is StagePipelineState.COMPLETED
+    assert result.terminal is ResponseStatus.COMPLETED
     assert sd.read_record() == before  # same state, same ver
 
 
 def test_unknown_stage_fails_without_execution(running_instance):
     sd = running_instance
-    (req,) = _spool(sd, stage="unregistered")
+    (req,) = spool(sd, stage="unregistered")
     loop = ServeLoop(sd, workers=1, fail_fast=False)
     result = loop.process_next()
-    assert result.terminal is StagePipelineState.FAILED and result.rc == 127
+    assert result.terminal is ResponseStatus.FAILED and result.rc == 127
     record = find_stage_record(sd, req.request_id)
     assert record.status == "failed" and not record.executed
     assert load_receipts(sd.receipts_path) == []
@@ -533,7 +523,7 @@ def test_stale_seq_rejected_after_later_accept(running_instance):
     late = build_request(session, "hello", b"p")
     loop = ServeLoop(sd, workers=1)
     sd.spool_request(request_to_envelope(late), late.request_id)
-    assert loop.process_next().terminal is StagePipelineState.COMPLETED
+    assert loop.process_next().terminal is ResponseStatus.COMPLETED
     sd.spool_request(request_to_envelope(early), early.request_id)
     result = loop.process_next()
     assert result.reject_reason == "order_stale_seq"
@@ -541,7 +531,7 @@ def test_stale_seq_rejected_after_later_accept(running_instance):
 
 def test_serve_run_modes_and_preconditions(root, sim_bundle, running_instance):
     sd = running_instance
-    _spool(sd, n=4)
+    spool(sd, n=4)
     summary = ServeLoop(sd, workers=4).run(mode="until-idle")
     assert summary.completed == 4 and summary.failed == 0 and summary.rejected == 0
     assert summary.stop_reason == "idle"
@@ -591,7 +581,7 @@ def test_kill_marker_cancels_in_flight_stage(running_instance):
 
     atomic_write_json(sd.kill_marker_path, {"signal": 15, "ts": time.time()})
     t.join(timeout=10)
-    assert done["result"].terminal is StagePipelineState.FAILED
+    assert done["result"].terminal is ResponseStatus.FAILED
     record = find_stage_record(sd, req.request_id)
     assert record.failure_reason == "cancelled"
     assert record.status == "failed"
@@ -604,7 +594,7 @@ def test_tee_phase_active_while_stage_in_flight(running_instance):
     sd = running_instance
     loop = ServeLoop(sd, workers=1)
     loop.adapter.stage_table["sleep"]["ms"] = 600
-    _spool(sd, stage="sleep")
+    spool(sd, stage="sleep")
     t = threading.Thread(target=loop.process_next)
     t.start()
     phases = set()
@@ -622,7 +612,7 @@ def test_missing_journal_stops_serve_before_a_second_execution(running_instance)
     # spools the same envelope again: serve must not read the missing
     # journal as an empty epoch and run the request twice.
     sd = running_instance
-    (req,) = _spool(sd)
+    (req,) = spool(sd)
     assert ServeLoop(sd, workers=1).run(mode="until-idle").completed == 1
     sd.accepts_path.unlink()
     sd.response_path(req.request_id).unlink()
@@ -645,14 +635,14 @@ def _spare_inodes(sd: StateDir) -> set:
 
 def test_a_stocked_request_makes_no_inode(running_instance):
     sd = running_instance
-    (req,) = _spool(sd)
+    (req,) = spool(sd)
     loop = ServeLoop(sd, workers=1)
     loop.spares.stock()
     stocked = _spare_inodes(sd)
     assert len(stocked) == 5  # a stage directory and four temp files
 
     result = loop.process_next()
-    assert result.terminal is StagePipelineState.COMPLETED
+    assert result.terminal is ResponseStatus.COMPLETED
     made = (
         sd.enclave_dir(result.eid),
         sd.run_log_path(result.eid),
@@ -707,7 +697,7 @@ def test_a_spare_swapped_for_a_symlink_redirects_nothing(running_instance):
     # The host replaces every stocked spare's name with a symlink: the files'
     # to state.json, the directory's to the instance root.
     sd = running_instance
-    (req,) = _spool(sd)
+    (req,) = spool(sd)
     loop = ServeLoop(sd, workers=1)
     loop.spares.stock()
     state = sd.state_path.read_bytes()
@@ -718,7 +708,7 @@ def test_a_spare_swapped_for_a_symlink_redirects_nothing(running_instance):
         spare.symlink_to(target)
 
     result = loop.process_next()
-    assert result.terminal is StagePipelineState.COMPLETED
+    assert result.terminal is ResponseStatus.COMPLETED
     assert sd.state_path.read_bytes() == state
     for path in (sd.enclave_dir(result.eid), sd.run_log_path(result.eid), sd.meta_path(result.eid),
                  sd.response_path(req.request_id)):

@@ -11,19 +11,9 @@ from collections import Counter
 from c4run import runtime
 from c4run.backends import load_receipts
 from c4run.bundle import write_sleep_anchor_bundle
-from c4run.protocol import build_request, request_to_envelope
 from c4run.serve import ServeLoop
 from c4run.statedir import StateDir
-
-
-def _spool(sd, stage, n=1, table_ms=None):
-    session = sd.load_session()
-    out = []
-    for _ in range(n):
-        req = build_request(session, stage, b"p")
-        sd.spool_request(request_to_envelope(req), req.request_id)
-        out.append(req)
-    return out
+from conftest import spool
 
 
 def _spares(sd):
@@ -47,7 +37,7 @@ def test_forever_serve_exits_cleanly_on_sigterm(root, tmp_path):
     sd = StateDir(root, cid)
 
     proc = _serve_proc(root, cid, "--forever", "--workers", "2")
-    _spool(sd, "hello", n=3)
+    spool(sd, "hello", n=3)
     deadline = time.monotonic() + 15
     while time.monotonic() < deadline and len(list(sd.responses_dir.glob("*.resp"))) < 3:
         time.sleep(0.05)
@@ -80,7 +70,7 @@ def test_sigkilled_serve_mid_stage_recovers_exactly_once(root, tmp_path):
     while time.monotonic() < deadline and len(_spares(sd)) < 5:
         time.sleep(0.02)
     assert len(_spares(sd)) == 5
-    (req,) = _spool(sd, "sleep")
+    (req,) = spool(sd, "sleep")
     while time.monotonic() < deadline and sd.in_flight_count() == 0:
         time.sleep(0.02)
     assert sd.in_flight_count() == 1
