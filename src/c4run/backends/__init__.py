@@ -12,7 +12,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import UsageError
-from .base import AdapterBase, load_receipts
+from ..statedir import load_receipts  # the receipts' reader, for audits and the benchmark
+from .base import AdapterBase, Started
 
 BACKEND_IDS = ("sim", "localexec")
 
@@ -23,18 +24,16 @@ def create_adapter(
     *,
     rootfs: Path,
     work_root: Path,
-    receipts_path: Path,
+    started: Started,
 ) -> AdapterBase:
     if backend_id == "sim":
         from .sim import SimulatorAdapter
 
-        return SimulatorAdapter(stage_table, receipts_path=receipts_path)
+        return SimulatorAdapter(stage_table, started=started)
     if backend_id == "localexec":
         from .localexec import LocalExecAdapter
 
-        return LocalExecAdapter(
-            stage_table, rootfs=rootfs, work_root=work_root, receipts_path=receipts_path
-        )
+        return LocalExecAdapter(stage_table, rootfs=rootfs, work_root=work_root, started=started)
     raise UsageError(f"unknown backend {backend_id!r} (known: {', '.join(BACKEND_IDS)})")
 
 

@@ -2,24 +2,25 @@
 
 The pipeline engine talks to backends only through prepare/execute/destroy
 and the outcome type below; nothing backend-specific leaks upward. Every
-execute call is journaled to the receipts journal (fsutil.append_line,
-under a flock on the journal itself) before any work happens, which is the
-instrumentation the exactly-once audits count. Execute returns the
-backend's outcome unchanged: the record's path already names its cid and eid.
+execute call first calls the ``started`` callable the adapter was built
+with, before any work happens: in serve that is
+StateDir.write_started_marker, which commits the request's execution
+receipt, the record that recovery reads as "touched" and the
+exactly-once audits count. Execute returns the backend's outcome
+unchanged: the record's path already names its cid and eid.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .. import fsutil
 from ..errors import BackendHandleInvalid
 from ..protocol import StageRequest
 
 CancelCheck = Callable[[], bool]
+#: started(request_id, eid, stage, backend_id), called before any work.
+Started = Callable[[str, str, str, str], None]
 
 
 class BackendHandle(NamedTuple):
@@ -44,20 +45,20 @@ class StageOutcome(NamedTuple):
 
 
 class AdapterBase:
-    """Handle bookkeeping and receipt instrumentation common to adapters.
+    """Handle bookkeeping and the started call common to adapters.
 
     Subclasses implement `_prepare_context`, `_execute`, and
-    `_destroy_context`; handle-validity errors and receipts are handled
-    here so every backend behaves identically at the interface.
+    `_destroy_context`; handle-validity errors and the started call are
+    handled here so every backend behaves identically at the interface.
     """
 
     backend_id = "base"
     tee_type = "base"
     evidence_type = "base"
 
-    def __init__(self, stage_table: dict, *, receipts_path: Path) -> None:
+    def __init__(self, stage_table: dict, *, started: Started) -> None:
         self.stage_table = dict(stage_table)
-        self.receipts_path = receipts_path
+        self.started = started
         self._live: dict[str, object] = {}
 
     # -- interface ----------------------------------------------------------
@@ -79,7 +80,7 @@ class AdapterBase:
             context = self._live[handle.token]
         except KeyError:
             raise BackendHandleInvalid(f"handle for {handle.eid} is not live") from None
-        self._write_receipt(handle, request)
+        self.started(request.request_id, handle.eid, handle.stage, self.backend_id)
         return self._execute(handle, context, request, cancel_check or (lambda: False))
 
     def destroy(self, handle: BackendHandle) -> None:
@@ -90,21 +91,6 @@ class AdapterBase:
                 self._destroy_context(context)
             except Exception:  # a cleanup failure must not mask the stage's outcome
                 pass
-
-    # -- instrumentation ------------------------------------------------------
-
-    def _write_receipt(self, handle: BackendHandle, request: StageRequest) -> None:
-        line = fsutil.json_canonical(
-            {
-                "request_id": request.request_id,
-                "eid": handle.eid,
-                "stage": handle.stage,
-                "backend": self.backend_id,
-                "ts": time.time(),
-            }
-        )
-        with fsutil.locked(self.receipts_path):
-            fsutil.append_line(self.receipts_path, line.encode())
 
     # -- subclass hooks --------------------------------------------------------
 
@@ -117,21 +103,3 @@ class AdapterBase:
     def _destroy_context(self, context) -> None:
         raise NotImplementedError
 
-
-def load_receipts(receipts_path: Path) -> list[dict]:
-    """Parse the execution receipts journal (for audits and tests).
-
-    A torn tail is no receipt (fsutil.read_lines); a complete line that is
-    not an object naming a request_id is CorruptStateError.
-    """
-    try:
-        lines, _ = fsutil.read_lines(receipts_path)
-    except FileNotFoundError:
-        return []
-    return [fsutil.decode_json(line, f"line {n} of {receipts_path}", _receipt) for n, line in enumerate(lines, 1)]
-
-
-def _receipt(obj: dict) -> dict:
-    if not isinstance(obj["request_id"], str):
-        raise TypeError("request_id is not a string")
-    return obj

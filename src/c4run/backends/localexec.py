@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from ..errors import CANCELLED_RC, TIMEOUT_RC, PrepareFailed, StageNotFound
-from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome
+from .base import AdapterBase, CancelCheck, StageEvidence, StageOutcome, Started
 
 DEFAULT_TIMEOUT_S = 60.0
 _POLL_S = 0.02
@@ -49,8 +49,8 @@ class LocalExecAdapter(AdapterBase):
     tee_type = "localexec"
     evidence_type = "localexec-digest"
 
-    def __init__(self, stage_table, *, rootfs: Path, work_root: Path, receipts_path: Path) -> None:
-        super().__init__(stage_table, receipts_path=receipts_path)
+    def __init__(self, stage_table, *, rootfs: Path, work_root: Path, started: Started) -> None:
+        super().__init__(stage_table, started=started)
         self.rootfs = Path(rootfs).resolve()
         self.work_root = Path(work_root)
 

@@ -28,6 +28,7 @@ from contextlib import contextmanager
 #:                    and a repeated kill reads the same
 #: "completed"        the request completes with exactly one execution
 #: "failed_ambiguous" the request fails safely and is never re-executed
+#:                    (its receipt is durable, so its backend may have run)
 CRASH_POINTS: dict[str, str] = {
     "create:post-root": "absent",
     "create:post-dirs": "absent",
@@ -38,10 +39,10 @@ CRASH_POINTS: dict[str, str] = {
     "claim:post-rename": "completed",
     "accept:pre-commit": "completed",
     "accept:post-commit": "completed",
-    "execute:post-marker": "failed_ambiguous",
     "update:pre-write": "unchanged",
-    "execute:pre-prepare": "failed_ambiguous",
-    "execute:pre-backend": "failed_ambiguous",
+    "execute:pre-prepare": "completed",
+    "execute:pre-backend": "completed",
+    "execute:post-receipt": "failed_ambiguous",
     "finalize:pre-meta": "failed_ambiguous",
     "finalize:post-log": "failed_ambiguous",
     "finalize:post-meta": "completed",

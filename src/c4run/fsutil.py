@@ -69,8 +69,6 @@ def _write_tmp(path: Path, data: bytes, spares: Optional[Spares]) -> Path:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
-        if spare is not None and not data:
-            os.utime(fd)  # no write stamped it: its mtime is still the stocking time
         os.fsync(fd)
     finally:
         os.close(fd)
@@ -104,7 +102,7 @@ def write_once_bytes(path: Path, data: bytes, spares: Optional[Spares] = None) -
     fsync_dir(path.parent)
 
 
-def _open(path: Path, flags: int = os.O_RDONLY) -> int:
+def open_regular(path: Path, flags: int = os.O_RDONLY) -> int:
     """A descriptor on the regular file at path, opened without blocking.
     A missing file raises FileNotFoundError; anything else in its place is
     CorruptStateError, before a byte is read or written."""
@@ -121,7 +119,7 @@ def _open(path: Path, flags: int = os.O_RDONLY) -> int:
 
 
 def read_bytes(path: Path) -> bytes:
-    with open(_open(path), "rb") as f:
+    with open(open_regular(path), "rb") as f:
         return f.read()
 
 
@@ -144,7 +142,7 @@ def read_json(path: Path, what: str = "artifact", decode: Optional[Callable[[Any
 def read_lines(path: Path, pos: int = 0) -> tuple[list[bytes], int]:
     """The complete lines of a journal past byte offset pos, without their
     newlines, and the offset just after the last of them."""
-    with open(_open(path), "rb") as f:
+    with open(open_regular(path), "rb") as f:
         f.seek(pos)
         data = f.read()
     end = data.rfind(b"\n") + 1
@@ -154,8 +152,8 @@ def read_lines(path: Path, pos: int = 0) -> tuple[list[bytes], int]:
 def append_line(path: Path, line: bytes, pos: Optional[int] = None) -> int:
     """Cut the journal at pos, the end of its last complete line (found
     here when None), then append line and its newline and fsync. Returns
-    the new end; callers serialize appends."""
-    with open(_open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND), "a+b") as f:
+    the new end; callers make the journal and serialize appends."""
+    with open(open_regular(path, os.O_RDWR | os.O_APPEND), "a+b") as f:
         size = f.seek(0, os.SEEK_END)
         if pos is None:  # only a torn tail costs a whole read
             f.seek(max(0, size - 1))
@@ -171,15 +169,15 @@ def append_line(path: Path, line: bytes, pos: Optional[int] = None) -> int:
 
 
 @contextmanager
-def locked(lock_path: Path, *, exclusive: bool = True, blocking: bool = True):
+def locked(lock_path: Path, *, exclusive: bool = True, blocking: bool = True, create: bool = True):
     """Hold an advisory flock on lock_path for the duration of the context.
 
     flock is per open-file-description, so this serializes both threads in
     one process and separate processes. A crashed holder releases the lock
-    automatically when its descriptors close.
+    when its descriptors close. Only create=True makes a missing lock_path.
     """
     lock_path.parent.mkdir(parents=True, exist_ok=True)
-    fd = _open(lock_path, os.O_RDWR | os.O_CREAT)
+    fd = open_regular(lock_path, os.O_RDWR | (os.O_CREAT if create else 0))
     flags = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
     if not blocking:
         flags |= fcntl.LOCK_NB

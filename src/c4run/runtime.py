@@ -76,10 +76,19 @@ def bundle_c_untrusted(sd: StateDir) -> int:
         return DEFAULT_UNTRUSTED_EXIT_CODE
 
 
-def _anchor_alive(sd: StateDir, pid: Optional[int]) -> bool:
-    if sd.read_anchor_exit() is not None:
+def _exit_recorded(sd: StateDir, *, force: bool = False) -> bool:
+    """Whether anchor_exit.json records the anchor's exit; with force, a
+    corrupt one records none (its supervisor replaces it once it reaps)."""
+    try:
+        return sd.read_anchor_exit() is not None
+    except CorruptStateError:
+        if not force:
+            raise
         return False
-    if pid is None:
+
+
+def _anchor_alive(sd: StateDir, pid: Optional[int], *, force: bool = False) -> bool:
+    if _exit_recorded(sd, force=force) or pid is None:
         return False
     try:
         os.kill(pid, 0)
@@ -112,25 +121,26 @@ def cmd_delete(root: Path, cid: str, *, force: bool = False) -> dict:
     """Remove persistent artifacts once terminal; --force kills first.
 
     Deleting an absent instance is an idempotent success (it is already in
-    the initial state).
+    the initial state). --force also deletes a corrupt instance, once the
+    anchor that anchor.pid or state.json names is killed.
     """
     sd = StateDir(root, cid)
+    rec = None
     try:
         rec = sd.read_record()
+        if rec is not None and rec.state not in TERMINAL_STATES:
+            if not force:
+                raise IllegalStateError(f"{cid}: delete is permitted only after terminal states")
+            cmd_kill(root, cid)
     except CorruptStateError:
         if not force:
             raise
-        rec = None
-    if rec is not None and rec.state not in TERMINAL_STATES:
-        if not force:
-            raise IllegalStateError(f"{cid}: delete is permitted only after terminal states")
-        cmd_kill(root, cid)
     # A fail-fast instance turns Failed while its anchor still runs, and kill
     # on a terminal instance is a no-op: end the anchor before its tree goes.
     pid = (rec.anchor_pid if rec else None) or sd.read_anchor_pid()
-    if _anchor_alive(sd, pid):
+    if _anchor_alive(sd, pid, force=force):
         _signal_group(pid, signal.SIGKILL)
-        _poll_until(lambda: sd.read_anchor_exit() is not None, DEFAULT_KILL_GRACE_S)
+        _poll_until(lambda: _exit_recorded(sd, force=force), DEFAULT_KILL_GRACE_S)
     sd.delete()
     return {"cid": cid, "deleted": True}
 
@@ -193,7 +203,7 @@ def cmd_state(root: Path, cid: str) -> dict:
     """OCI-style status envelope plus the observability annotations.
 
     The record supplies the lifecycle; the flags are derived here from the
-    stage records and the in-flight markers. The newest record (by finish
+    stage records and the stages in flight. The newest record (by finish
     time, then identifier) gives the phase's last exit; the newest record
     of an executed stage gives the trust and health evidence.
     """

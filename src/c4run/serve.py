@@ -16,12 +16,14 @@ instances on one instance directory:
   seen. Each serve instance keeps the session in memory, folded from the
   journal once and then from the lines other instances append, so the cost
   of a request does not grow with the epoch.
-- A request's stage is eid-<epoch>-<seq> of the request. An empty started
-  marker named after it, written before the backend is invoked, says the
-  backend may have been touched; meta.json proves the outcome was recorded.
-  Recovery uses the ladder (response? journalled or marked? meta? marked?)
-  to requeue, replay the response, fail a claim as ambiguous or resume it
-  — never running the backend twice for one accepted request.
+- A request's stage is eid-<epoch>-<seq> of the request. Its receipt line
+  in exec.receipts, which the adapter appends and fsyncs first in execute
+  (StateDir.write_started_marker), says the backend may have been touched;
+  meta.json proves the outcome was recorded. Recovery uses the ladder
+  (response? touched or journalled? meta? touched?) to requeue, replay the
+  response, fail a claim as ambiguous or resume it — never running the
+  backend twice for one accepted request, and resuming one that crashed
+  before its receipt.
 - A serve with N workers runs N copies of one loop in threads, which
   coordinate through the session lock and the claim rename exactly as N
   serve processes do; the thread that claims a request executes it.
@@ -34,7 +36,7 @@ instances on one instance directory:
   it makes them in place, as every other verb does. A loop stocks only
   after a scan found the spool empty, just before it waits on the FIFO,
   never between a claim and its response; the stock holds one request's
-  worth (a directory and four files) per worker. run() removes the unused
+  worth (a directory and three files) per worker. run() removes the unused
   spares whichever way it ends, and recover those a killed serve left.
 
 Fail-fast policy: a stage that reports a nonzero rc emits a TEE-error
@@ -195,7 +197,7 @@ class ServeLoop:
             self.bundle.c4.stage_table,
             rootfs=sd.rootfs_dir,
             work_root=sd.enclaves_dir,
-            receipts_path=sd.receipts_path,
+            started=sd.write_started_marker,
         )
         self.fail_fast = fail_fast
         self.poll_interval = poll_interval
@@ -209,8 +211,8 @@ class ServeLoop:
         self._journal_pos = 0
         sd.spare_dir.mkdir(exist_ok=True)
         # Per worker, one request's worth: its stage directory, and the temp
-        # files of its started marker, run.log, meta.json and response.
-        self.spares = Spares(sd.spare_dir, files=4 * self.workers, dirs=self.workers)
+        # files of its run.log, meta.json and response.
+        self.spares = Spares(sd.spare_dir, files=3 * self.workers, dirs=self.workers)
 
     # -- stopping -------------------------------------------------------------
 
@@ -268,11 +270,8 @@ class ServeLoop:
         return self._bind(req, claimed, claimed_at)
 
     def _bind(self, req: StageRequest, claimed: Path, claimed_at: float) -> WorkItem:
-        """Bind an accepted request to the stage its (epoch, seq) names; the
-        started marker is durable before any backend side effect."""
+        """Bind an accepted request to the stage its (epoch, seq) names."""
         eid = self.sd.allocate_eid(req.epoch, req.seq, self.spares)
-        self.sd.write_started_marker(req.request_id, self.spares)
-        crash_if("execute:post-marker")
         return WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=claimed_at)
 
     def _finalize_rejected(self, claimed: Path, request_id: str, reason: RejectReason) -> PipelineResult:
@@ -370,13 +369,9 @@ class ServeLoop:
             output=output,
         )
         self.sd.spool_response(record.request_id, response_to_envelope(resp), self.spares)
-        self._cleanup_claim(record.request_id, claimed_path)
+        remove_if_exists(claimed_path)
         if record.rc != 0 and record.failure_reason != "cancelled" and self.fail_fast:
             self._fail_fast(record.eid, record.rc)
-
-    def _cleanup_claim(self, request_id: str, claimed_path: Path) -> None:
-        remove_if_exists(self.sd.started_marker_path(request_id))
-        remove_if_exists(claimed_path)
 
     # -- record bookkeeping ---------------------------------------------------
 
@@ -492,11 +487,11 @@ class ServeLoop:
         Requires that no live serve instance holds the serve lock. For each
         claimed request, the first of:
 
-        - response exists               -> clean up claim bookkeeping
-        - neither marker nor journalled -> requeue for fresh validation
-        - stage record exists           -> replay the response from it
-        - started marker, no record     -> ambiguous execution: fail safely
-        - journalled, no started marker -> resume the pipeline (runs once)
+        - response exists                -> remove the claim
+        - neither receipt nor journalled -> requeue for fresh validation
+        - stage record exists            -> replay the response from it
+        - receipt, no record             -> ambiguous execution: fail safely
+        - journalled, no receipt         -> resume the pipeline (runs once)
 
         A claim whose id or envelope names no request this instance can
         have accepted, or whose envelope fails the bind and MAC checks of
@@ -514,29 +509,22 @@ class ServeLoop:
             # every spare on disk is a killed serve's.
             self.spares.purge()
             self._journal_pos = self.sd.fold_accepts(self._session, self._journal_pos)
+            touched = self.sd.touched()
             for claimed in self.sd.claimed_requests():
-                actions.append({"request_id": claimed.stem, "action": self._recover_one(claimed)})
-            for request_id in self.sd.started_markers():
-                # A marker without its claimed file means the crash hit the
-                # cleanup step itself; the response exists, so just finish.
-                if not self.sd.claimed_path(request_id).exists():
-                    remove_if_exists(self.sd.started_marker_path(request_id))
+                action = self._recover_one(claimed, touched.get(claimed.stem))
+                actions.append({"request_id": claimed.stem, "action": action})
         finally:
             lock_ctx.__exit__(None, None, None)
         return actions
 
-    def _recover_one(self, claimed: Path) -> str:
+    def _recover_one(self, claimed: Path, touched_at: Optional[float]) -> str:
         request_id = claimed.stem
         if self.sd.has_response(request_id):
-            self._cleanup_claim(request_id, claimed)
+            remove_if_exists(claimed)
             return "cleaned"
 
-        # A marked claim is never requeued: its marker is a second witness of
-        # the acceptance, should the journal have lost the line.
-        try:
-            touched_at = self.sd.started_marker_path(request_id).stat().st_mtime
-        except FileNotFoundError:
-            touched_at = None
+        # A touched claim is never requeued: its receipt is a second witness
+        # of the acceptance, should the journal have lost the line.
         if touched_at is None and request_id not in self._session.seen_request_ids:
             self.sd.requeue_claimed(claimed)
             return "requeued"
@@ -567,17 +555,16 @@ class ServeLoop:
         if touched_at is not None:
             # The backend may have been touched; never run it again. The bind
             # did not fsync enclaves/, so its directory may be gone.
-            eid = self.sd.allocate_eid(req.epoch, req.seq, self.spares)
             self._finalize_outcome(
-                WorkItem(req=req, eid=eid, claimed_path=claimed, claimed_at=touched_at),
+                self._bind(req, claimed, touched_at),
                 rc=RECOVERY_AMBIGUOUS_RC,
                 timings={"claimed_at": touched_at},
                 failure_reason="recovery_ambiguous",
             )
             return "failed_ambiguous"
 
-        # Journalled but no started marker; requeueing would self-reject as a
-        # replay, so resume under the eid its (epoch, seq) names, reusing a
-        # directory an earlier bind left empty.
+        # Journalled but no receipt, so the backend never ran; requeueing
+        # would self-reject as a replay, so resume under the eid its (epoch,
+        # seq) names, reusing the directory an earlier bind left.
         result = self.execute_accepted(self._bind(req, claimed, time.time()))
         return f"resumed_{result.terminal.value}"

@@ -8,8 +8,7 @@ Layout under ``<root>/<cid>/``:
     accepts.log           acceptance journal, one line per accepted request
                           (``<request_id> <nonce_hex>``), under the session lock
     requests/             pending request files <request_id>.req
-    requests/claimed/     claimed request files; an empty <request_id>.started
-                          says the request's backend may have been touched
+    requests/claimed/     claimed request files
     responses/            response files <request_id>.resp
     enclaves/<EID>/       per-stage meta.json (see StageRecord) + run.log;
                           EID is eid-<epoch>-<seq> of the accepted request
@@ -18,8 +17,9 @@ Layout under ``<root>/<cid>/``:
     created.ok            create-completion marker
     events.json           termination-event journal (one JSON object per
                           line), appended under a flock on itself
-    exec.receipts         backend execution receipts, appended before each
-                          run under a flock on itself
+    exec.receipts         execution receipts, one line appended before each
+                          backend run under a flock on itself: what says
+                          the request's backend may have been touched
     kill.requested        kill marker: stages cancel, serve stops, start refuses
     anchor.pid            written by the anchor supervisor once the anchor
                           runs; start returns only after it is durable
@@ -60,7 +60,8 @@ protocol layer). What this module does guarantee:
   torn tail of an append that crashed before its fsync: that acceptance,
   event or receipt never committed, and the next append cuts it off. A
   complete line that does not parse is corruption. A missing accepts.log
-  raises, as a corrupt state.json does.
+  or exec.receipts raises, as a corrupt state.json does: recovery and the
+  exactly-once rule read each as a commit record.
 - Write-once artifacts: responses and stage records cannot be overwritten.
 - The wake FIFO carries no state: the spool files and anchor_exit.json are
   the only truth, so a lost or missing ring delays serve by one poll
@@ -367,9 +368,6 @@ class StateDir:
     def claimed_path(self, request_id: str) -> Path:
         return self.claimed_dir / f"{request_id}.req"
 
-    def started_marker_path(self, request_id: str) -> Path:
-        return self.claimed_dir / f"{request_id}.started"
-
     def response_path(self, request_id: str) -> Path:
         return self.responses_dir / f"{request_id}.resp"
 
@@ -552,7 +550,7 @@ class StateDir:
         try:
             return fsutil.read_lines(self.accepts_path, pos)
         except FileNotFoundError:
-            raise CorruptStateError(f"{self.cid}: accepts.log is missing") from None
+            raise _missing(self.accepts_path) from None
 
     def fold_accepts(self, session: SessionState, pos: int) -> int:
         """Apply the journal's complete lines past pos to session, skipping
@@ -581,8 +579,9 @@ class StateDir:
         is one.
 
         An existing directory is reused: a crash between this mkdir and the
-        started marker leaves it empty (meta.json and backend work files
-        only appear after the marker), and recovery binds the same name.
+        request's receipt leaves it empty or holding what prepare made
+        (meta.json and the backend's own work only appear after the
+        receipt), and recovery binds the same name.
         """
         eid = stage_eid(epoch, seq)
         path = self.enclave_dir(eid)
@@ -687,20 +686,36 @@ class StateDir:
     def claimed_requests(self) -> list[Path]:
         return sorted(self.claimed_dir.glob("*.req"))
 
-    def write_started_marker(self, request_id: str, spares: Optional[fsutil.Spares] = None) -> None:
-        """An empty file: its name alone says the request's backend may now
-        be touched."""
-        fsutil.atomic_write_bytes(self.started_marker_path(request_id), b"", spares)
+    # -- execution receipts --------------------------------------------------
 
-    def started_markers(self) -> list[str]:
-        """The ids of the requests that have a started marker."""
-        return [p.stem for p in sorted(self.claimed_dir.glob("*.started"))]
+    def write_started_marker(self, request_id: str, eid: str, stage: str, backend: str) -> None:
+        """Commit "the request's backend may now be touched": append and
+        fsync its receipt line, under a flock on the journal. Adapters call
+        this first in every execute, so no backend work precedes it."""
+        line = {"request_id": request_id, "eid": eid, "stage": stage, "backend": backend, "ts": time.time()}
+        try:
+            with fsutil.locked(self.receipts_path, create=False):
+                fsutil.append_line(self.receipts_path, fsutil.json_canonical(line).encode())
+        except FileNotFoundError:
+            raise _missing(self.receipts_path) from None
+        crash_if("execute:post-receipt")
+
+    def touched(self) -> dict[str, float]:
+        """The ids of the requests with a complete receipt line, each with
+        the ts of its first: the requests whose backend may have run."""
+        touched: dict[str, float] = {}
+        for receipt in load_receipts(self.receipts_path):
+            touched.setdefault(receipt["request_id"], receipt["ts"])
+        return touched
 
     def in_flight_count(self) -> int:
-        """Marked stages not yet recorded; a marker named after no
-        ``<epoch>-<seq>-`` id counts as none."""
+        """Claims with a receipt whose stage is not yet recorded; a claim
+        named after no ``<epoch>-<seq>-`` id counts as none. The journal is
+        read only while a claim exists."""
+        claims = {p.stem for p in self.claimed_requests()}
+        touched = self.touched() if claims else {}
         eids = []
-        for request_id in self.started_markers():
+        for request_id in claims & touched.keys():
             with suppress(ValueError):
                 eids.append(stage_eid(*request_epoch_seq(request_id)))
         return sum(1 for eid in eids if not self.meta_path(eid).exists())
@@ -714,7 +729,7 @@ class StateDir:
 
         meta.json is the durable "executed" commitment: recovery treats its
         presence as proof the outcome was recorded, and its absence (with a
-        started marker) as an ambiguous execution.
+        receipt) as an ambiguous execution.
         """
         eid = record.eid
         if not self.enclave_dir(eid).is_dir():
@@ -790,6 +805,27 @@ class StateDir:
             return fsutil.read_json(self.anchor_pid_path, "anchor.pid", lambda obj: _pid(obj["pid"]))
         except (FileNotFoundError, CorruptStateError):
             return None
+
+
+def load_receipts(path: Path) -> list[dict]:
+    """The receipts in the journal at path (fsutil.read_lines: a torn tail
+    is no receipt). A missing journal, or a complete line that is not an
+    object with a string request_id and a finite ts, is CorruptStateError."""
+    try:
+        lines, _ = fsutil.read_lines(path)
+    except FileNotFoundError:
+        raise _missing(path) from None
+    return [fsutil.decode_json(line, f"line {n} of {path}", _receipt) for n, line in enumerate(lines, 1)]
+
+
+def _receipt(obj: dict) -> dict:
+    if not isinstance(obj["request_id"], str) or not math.isfinite(obj["ts"]):  # a non-number ts: TypeError
+        raise ValueError("not a receipt: a request_id string and a finite ts")
+    return obj
+
+
+def _missing(path: Path) -> CorruptStateError:
+    return CorruptStateError(f"{path.parent.name}: {path.name} is missing")
 
 
 def _open_fifo(path: Path, flags: int) -> Optional[int]:

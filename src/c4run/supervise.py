@@ -19,7 +19,8 @@ import time
 from contextlib import suppress
 
 from .bundle import load_bundle
-from .fsutil import atomic_write_json
+from .errors import CorruptStateError
+from .fsutil import atomic_write_json, open_regular
 from .statedir import StateDir
 
 READY = b"ready"  # on the readiness pipe once anchor.pid is durable
@@ -69,8 +70,8 @@ def supervise(sd: StateDir, ready_fd: int) -> None:
         }
     )
 
-    with open(sd.anchor_out_path, "ab", buffering=0) as out:
-        try:
+    try:  # open_regular: a FIFO planted at anchor.out would block open()
+        with open(open_regular(sd.anchor_out_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT), "ab", 0) as out:
             proc = subprocess.Popen(
                 argv,
                 cwd=rootfs,
@@ -80,9 +81,9 @@ def supervise(sd: StateDir, ready_fd: int) -> None:
                 stdin=subprocess.DEVNULL,
                 start_new_session=True,
             )
-        except OSError as exc:
-            os.write(ready_fd, str(exc).encode())
-            return
+    except (OSError, CorruptStateError) as exc:
+        os.write(ready_fd, str(exc).encode())
+        return
 
     atomic_write_json(sd.anchor_pid_path, {"pid": proc.pid, "started_at": time.time()})
     with suppress(OSError):  # start may be gone already; the anchor still needs reaping

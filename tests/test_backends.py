@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from c4run.backends import create_adapter, load_receipts
+from c4run.backends import create_adapter
 from c4run.backends.base import StageEvidence
 from c4run.backends.localexec import LocalExecAdapter
 from c4run.backends.sim import (
@@ -16,7 +16,9 @@ from c4run.backends.sim import (
     DEFAULT_AESGCM_NONCE,
     SimulatorAdapter,
 )
-from c4run.errors import CANCELLED_RC, TIMEOUT_RC, BackendHandleInvalid, PrepareFailed, StageNotFound, UsageError
+from c4run.errors import (
+    CANCELLED_RC, TIMEOUT_RC, BackendHandleInvalid, CorruptStateError, PrepareFailed, StageNotFound, UsageError,
+)
 from c4run.protocol import SessionState, build_request
 from oracles import aes128_gcm_encrypt
 
@@ -38,8 +40,12 @@ def _req(stage="hello"):
     return build_request(session, stage, b"payload")
 
 
-def _sim(tmp_path: Path, table=TABLE) -> SimulatorAdapter:
-    return SimulatorAdapter(table, receipts_path=tmp_path / "exec.receipts")
+def _ignore(*receipt) -> None:
+    pass
+
+
+def _sim(tmp_path: Path, table=TABLE, started=_ignore) -> SimulatorAdapter:
+    return SimulatorAdapter(table, started=started)
 
 
 @pytest.fixture
@@ -80,7 +86,7 @@ def test_sim_loads_the_cipher_only_when_an_aesgcm_stage_runs(tmp_path):
         "from pathlib import Path\n"
         "from c4run.backends.sim import SimulatorAdapter\n"
         "from c4run.protocol import SessionState, build_request\n"
-        f"adapter = SimulatorAdapter({TABLE!r}, receipts_path=Path({str(tmp_path / 'exec.receipts')!r}))\n"
+        f"adapter = SimulatorAdapter({TABLE!r}, started=lambda *receipt: None)\n"
         "req = build_request(SessionState(cid='c1', epoch=1, sk=bytes(32)), 'x', b'')\n"
         "for eid, stage in (('eid-1', 'hello'), ('eid-2', 'aesgcm')):\n"
         "    handle = adapter.prepare('c1', eid, stage)\n"
@@ -177,16 +183,24 @@ def test_measurement_stability_and_sensitivity(tmp_path):
 
 
 def test_receipts_written_per_execution(tmp_path):
-    receipts = tmp_path / "exec.receipts"
-    adapter = _sim(tmp_path)
+    # Each execute calls started once with the receipt's fields, before any
+    # work: a started that raises leaves no outcome.
+    receipts = []
+    adapter = _sim(tmp_path, started=lambda *receipt: receipts.append(receipt))
     req = _req()
     handle = adapter.prepare("c1", "eid-0001", "hello")
     adapter.execute(handle, req)
     adapter.destroy(handle)
-    entries = load_receipts(receipts)
-    assert len(entries) == 1
-    assert entries[0]["request_id"] == req.request_id
-    assert entries[0]["eid"] == "eid-0001"
+    assert receipts == [(req.request_id, "eid-0001", "hello", "sim")]
+
+    def refuse(*receipt):
+        raise CorruptStateError("exec.receipts is missing")
+
+    adapter.started = refuse
+    handle = adapter.prepare("c1", "eid-0002", "hello")
+    with pytest.raises(CorruptStateError):
+        adapter.execute(handle, req)
+    adapter.destroy(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +233,7 @@ def _localexec(tmp_path: Path, table=None) -> LocalExecAdapter:
         },
         rootfs=rootfs,
         work_root=work,
-        receipts_path=tmp_path / "exec.receipts",
+        started=_ignore,
     )
 
 
@@ -281,7 +295,7 @@ def test_localexec_rejects_escapes_and_missing_programs(tmp_path):
 def test_registry_dispatch(tmp_path):
     rootfs = tmp_path / "rootfs"
     rootfs.mkdir()
-    paths = {"rootfs": rootfs, "work_root": tmp_path, "receipts_path": tmp_path / "exec.receipts"}
+    paths = {"rootfs": rootfs, "work_root": tmp_path, "started": _ignore}
     assert isinstance(create_adapter("sim", TABLE, **paths), SimulatorAdapter)
     assert isinstance(create_adapter("localexec", {}, **paths), LocalExecAdapter)
     with pytest.raises(UsageError):

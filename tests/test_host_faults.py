@@ -14,6 +14,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,10 @@ CASES = [
     ("events.json-list-line", lambda sd: sd.events_path.write_text("[]\n"), StateDir.load_events, ["kill"]),
     ("events.json-negative-code", lambda sd: _event(sd, code=-1), StateDir.load_events, ["kill"]),
     ("events.json-infinite-time", lambda sd: _event(sd, observed_at=float("inf")), StateDir.load_events, ["kill"]),
+    ("anchor.out-fifo", lambda sd: _fifo(sd.anchor_out_path), lambda sd: fsutil.read_bytes(sd.anchor_out_path),
+     ["start"]),
+    ("anchor.out-directory", lambda sd: _directory(sd.anchor_out_path),
+     lambda sd: fsutil.read_bytes(sd.anchor_out_path), ["start"]),
 ]
 
 
@@ -148,6 +153,60 @@ def test_a_planted_fault_is_corrupt_state(root, sd, plant, read, verb):
     assert proc.stderr.startswith(f"c4run {verb[0]}: ") and proc.stdout == ""
     with pytest.raises(CorruptStateError):
         read(sd)
+
+
+def _supervisors(root: Path) -> list[int]:
+    """Live processes whose argv names root: a supervisor runs start's argv."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                if str(root).encode() in f.read():
+                    pids.append(int(entry))
+        except (OSError, ValueError):
+            pass
+    return pids
+
+
+@pytest.mark.parametrize("plant", [_fifo, _directory], ids=["fifo", "directory"])
+def test_start_refuses_an_anchor_out_that_is_not_a_file_and_leaves_no_supervisor(root, sd, plant):
+    plant(sd.anchor_out_path)
+    proc = _verb(root, "start", sd.cid)
+    assert proc.returncode == EXIT_INTERNAL and "not a regular file" in proc.stderr, proc.stderr
+    assert sd.read_record().state is L.PREPARED and not sd.anchor_pid_path.exists()
+    deadline = time.monotonic() + 5
+    while _supervisors(root) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert _supervisors(root) == []
+
+
+# (artifact and fault, plant it on a running instance)
+FORCED_DELETE_CASES = [
+    ("anchor_exit.json-fifo", lambda sd: _fifo(sd.anchor_exit_path)),
+    ("anchor_exit.json-list", lambda sd: _write(sd.anchor_exit_path, [])),
+    ("events.json-fifo", lambda sd: _fifo(sd.events_path)),
+    ("events.json-list-line", lambda sd: sd.events_path.write_text("[]\n")),
+]
+
+
+@pytest.mark.parametrize("plant", [case[1] for case in FORCED_DELETE_CASES],
+                         ids=[case[0] for case in FORCED_DELETE_CASES])
+def test_a_forced_delete_removes_a_corrupt_instance_and_its_anchor(root, running_instance, plant):
+    sd = running_instance
+    pid = sd.read_anchor_pid()
+    plant(sd)
+    proc = _verb(root, "delete", sd.cid, "--force")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert not sd.path.exists()
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.02)
+    else:
+        pytest.fail(f"anchor {pid} outlived its forced delete")
 
 
 @pytest.mark.parametrize("planted", [{"pid": None}, {"pid": 0}, []], ids=["null", "zero", "list"])

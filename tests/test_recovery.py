@@ -155,14 +155,78 @@ def test_crash_between_bind_mkdir_and_marker_resumes_under_the_same_eid(running_
     assert _executions(sd, req.request_id) == 1
 
 
-def test_crash_in_execution_window_fails_safely_never_reexecutes(running_instance):
+@pytest.mark.parametrize("point", ["execute:pre-prepare", "execute:pre-backend"])
+def test_a_crash_before_the_receipt_resumes_and_runs_once(running_instance, point):
+    # No receipt line, so the backend never ran: the stage resumes.
+    sd = running_instance
+    (req,) = spool(sd)
+    _crash_at(sd, point)
+    assert load_receipts(sd.receipts_path) == []
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "resumed_completed"}]
+    assert _executions(sd, req.request_id) == 1
+    assert _response_status(sd, req.request_id) is ResponseStatus.COMPLETED
+    assert sd.list_eids() == [f"eid-{req.epoch}-{req.seq}"]
+
+
+def test_a_torn_receipt_tail_at_recovery_resumes_and_runs_once(running_instance):
+    # A serve that died mid-append left half its receipt line: that receipt
+    # never committed and the backend never ran.
     sd = running_instance
     (req,) = spool(sd)
     _crash_at(sd, "execute:pre-backend")
+    line = json.dumps({"request_id": req.request_id, "eid": f"eid-{req.epoch}-{req.seq}", "ts": time.time()})
+    with open(sd.receipts_path, "ab") as f:
+        f.write(line.encode()[: len(line) // 2])
+    assert sd.in_flight_count() == 0
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "resumed_completed"}]
+    assert _executions(sd, req.request_id) == 1
+    assert _response_status(sd, req.request_id) is ResponseStatus.COMPLETED
+    journal = sd.receipts_path.read_bytes()
+    assert journal.endswith(b"\n") and journal.count(b"\n") == 1
+
+
+def test_a_crash_right_after_the_receipt_fails_safely(running_instance):
+    sd = running_instance
+    (req,) = spool(sd)
+    _crash_at(sd, "execute:post-receipt")
+    assert sd.in_flight_count() == 1
+
+    assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
+    assert _executions(sd, req.request_id) == 1  # the receipt alone: no second
+    record = find_stage_record(sd, req.request_id)
+    assert (record.rc, record.executed) == (RECOVERY_AMBIGUOUS_RC, False)
+    assert sd.in_flight_count() == 0
+
+
+def test_a_missing_receipts_journal_stops_recovery(running_instance, capsys):
+    # The receipt is the commit record of "touched": reading its absence as
+    # "no receipts" would resume, and so rerun, a stage that may have run.
+    sd = running_instance
+    (req,) = spool(sd)
+    _crash_at(sd, "execute:post-receipt")
+    sd.receipts_path.unlink()
+    args = ["--statedir-root", str(sd.path.parent)]
+    for verb in (["recover", sd.cid], ["state", sd.cid]):
+        assert cli.main([*args, *verb]) == 5
+        err = capsys.readouterr().err
+        assert "exec.receipts is missing" in err and "Traceback" not in err
+    eid = f"eid-{req.epoch}-{req.seq}"
+    assert not sd.has_response(req.request_id) and not sd.meta_path(eid).exists()
+    assert not sd.run_log_path(eid).exists() and sd.claimed_requests() == [sd.claimed_path(req.request_id)]
+    assert not sd.receipts_path.exists()
+    sd.receipts_path.touch()  # so the fixture can kill and delete it
+
+
+def test_crash_in_execution_window_fails_safely_never_reexecutes(running_instance):
+    sd = running_instance
+    (req,) = spool(sd)
+    _crash_at(sd, "finalize:pre-meta")
 
     actions = ServeLoop(sd).recover()
     assert actions == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
-    assert _executions(sd, req.request_id) == 0
+    assert _executions(sd, req.request_id) == 1
     record = find_stage_record(sd, req.request_id)
     assert record.status == "failed"
     assert record.rc == RECOVERY_AMBIGUOUS_RC
@@ -178,7 +242,7 @@ def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
         spool(sd)
         ServeLoop(sd, workers=1).process_next()
     (req,) = spool(sd)
-    _crash_at(sd, "execute:pre-backend")
+    _crash_at(sd, "finalize:pre-meta")
 
     assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
     record = find_stage_record(sd, req.request_id)
@@ -189,18 +253,25 @@ def test_ambiguous_record_carries_its_requests_epoch_and_seq(running_instance):
     assert ipr.passed, ipr.violations
 
 
-@pytest.mark.parametrize("body", [b"{}", b"[]", b"\x00not json"], ids=["object", "list", "bytes"])
+def _plant_receipt(sd: StateDir, request_id: str, **fields) -> None:
+    with open(sd.receipts_path, "a") as f:
+        f.write(json.dumps({"request_id": request_id, "ts": time.time(), **fields}) + "\n")
+
+
+@pytest.mark.parametrize("body", [{}, [], "\x00not json"], ids=["object", "list", "bytes"])
 def test_a_started_markers_body_crashes_nothing(running_instance, body, capsys):
-    # The marker is host state; only its name is read.
+    # The started marker is the receipt line, host state: of it only the
+    # request id and ts are read.
     sd = running_instance
     (req,) = spool(sd)
-    _crash_at(sd, "execute:pre-backend")
-    sd.started_marker_path(req.request_id).write_bytes(body)
+    _crash_at(sd, "finalize:pre-meta")
+    _plant_receipt(sd, req.request_id, eid=body, stage=body, backend=body)
     for verb in (["state", sd.cid], ["kill", sd.cid, "--grace", "0.2"]):
         assert cli.main(["--statedir-root", str(sd.path.parent), *verb]) in range(6)
         assert "Traceback" not in capsys.readouterr().err
+    journal = sd.receipts_path.read_bytes()
     assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
-    assert _executions(sd, req.request_id) == 0
+    assert sd.receipts_path.read_bytes() == journal  # no second execution
 
 
 def test_a_started_marker_cannot_bind_another_stages_outcome(running_instance):
@@ -211,9 +282,8 @@ def test_a_started_marker_cannot_bind_another_stages_outcome(running_instance):
     assert (earlier.eid, earlier.rc) == ("eid-1-0", 7)
     before = sd.meta_path(earlier.eid).read_bytes(), sd.response_path(first.request_id).read_bytes()
     (req,) = spool(sd)
-    _crash_at(sd, "execute:pre-backend")
-    forged = {"request_id": req.request_id, "eid": earlier.eid, "stage": "fail", "ts": time.time()}
-    sd.started_marker_path(req.request_id).write_text(json.dumps(forged))
+    _crash_at(sd, "finalize:pre-meta")
+    _plant_receipt(sd, req.request_id, eid=earlier.eid, stage="fail", backend="sim")
 
     assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
     resp = response_from_envelope(read_json(sd.response_path(req.request_id), "response"))
@@ -223,7 +293,7 @@ def test_a_started_marker_cannot_bind_another_stages_outcome(running_instance):
 
 
 def test_a_claim_whose_stage_records_another_request_is_dropped(running_instance):
-    # A planted claim and marker whose id shares a recorded request's
+    # A planted claim and receipt whose id shares a recorded request's
     # (epoch, seq) cannot have been accepted: nothing answers it.
     sd = running_instance
     (first,) = spool(sd)
@@ -232,30 +302,25 @@ def test_a_claim_whose_stage_records_another_request_is_dropped(running_instance
     meta = sd.meta_path(earlier.eid).read_bytes()
     planted = f"{first.epoch}-{first.seq}-deadbeef"
     sd.claimed_path(planted).write_bytes(b"{}")
-    sd.write_started_marker(planted)
+    sd.write_started_marker(planted, earlier.eid, "hello", "sim")
 
     assert ServeLoop(sd).recover() == [{"request_id": planted, "action": "dropped_malformed"}]
     assert not sd.has_response(planted) and sd.meta_path(earlier.eid).read_bytes() == meta
-    assert sd.claimed_requests() == [] and sd.started_markers() == []
+    assert os.listdir(sd.claimed_dir) == []
 
 
 def test_an_ambiguous_record_is_stamped_when_its_marker_was_written(running_instance):
-    # The marker is written into a spare stocked earlier: its mtime must
-    # still be the time of the write.
+    # The started marker is the receipt line: the record's claimed_at is
+    # its ts, the time the backend may first have been touched.
     sd = running_instance
     (req,) = spool(sd)
-    loop = ServeLoop(sd, workers=1)
-    loop.spares.stock()
-    for name in os.listdir(sd.spare_dir):
-        os.utime(sd.spare_dir / name, (1.0, 1.0))
     before = time.time()
-    with pytest.raises(InjectedCrash):
-        with armed("execute:pre-backend"):
-            loop.process_next()
+    _crash_at(sd, "finalize:pre-meta")
 
     assert ServeLoop(sd).recover() == [{"request_id": req.request_id, "action": "failed_ambiguous"}]
     record = find_stage_record(sd, req.request_id)
-    assert record.timings["claimed_at"] >= before - 1.0
+    (receipt,) = load_receipts(sd.receipts_path)
+    assert record.timings["claimed_at"] == receipt["ts"] >= before
     assert set(record.timings) == {"claimed_at", "finished_at"}
 
 
@@ -300,7 +365,7 @@ def test_crash_after_response_only_cleans_up(running_instance):
     actions = ServeLoop(sd).recover()
     assert actions == [{"request_id": req.request_id, "action": "cleaned"}]
     assert _executions(sd, req.request_id) == 1
-    assert sd.claimed_requests() == [] and sd.started_markers() == []
+    assert os.listdir(sd.claimed_dir) == []
 
 
 def test_recover_refuses_while_serve_instances_active(running_instance):

@@ -112,7 +112,8 @@ def test_state_phase_error_outranks_a_stage_in_flight(root, sim_bundle):
     sd = StateDir(root, "f3")
     _record_stage(sd, seq=0, rc=7, finished_at=100.0)
     sd.allocate_eid(1, 1)
-    sd.write_started_marker("1-1-0000abcd")
+    sd.claimed_path("1-1-0000abcd").write_bytes(b"{}")
+    sd.write_started_marker("1-1-0000abcd", "eid-1-1", "hello", "sim")
     assert sd.in_flight_count() == 1
     assert _flags(root, "f3")[2] == "error"
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import threading
@@ -68,7 +69,7 @@ def test_single_request_full_pipeline(running_instance):
     assert (annotations["trust_flag"], annotations["health_flag"]) == ("trusted", "healthy")
     assert annotations["tee_phase"] == "idle"
     assert req.request_id in session.seen_request_ids
-    assert sd.claimed_requests() == [] and sd.started_markers() == []
+    assert os.listdir(sd.claimed_dir) == []
 
     # meta/log precede the response and the pipeline timestamps are ordered
     t = record.timings
@@ -629,6 +630,27 @@ def test_missing_journal_stops_serve_before_a_second_execution(running_instance)
     assert [r["request_id"] for r in load_receipts(sd.receipts_path)] == [req.request_id]
 
 
+def test_a_request_costs_eight_fsyncs_three_on_directories(running_instance, monkeypatch):
+    # One each for the journal line and the receipt; a file and a directory
+    # fsync each for run.log, meta.json and the response. Nothing else is
+    # written durably, and the claim is gone once answered.
+    sd = running_instance
+    spool(sd)
+    loop = ServeLoop(sd, workers=1)
+    synced = []
+    fsync = os.fsync
+
+    def counted(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    assert loop.process_next().terminal is ResponseStatus.COMPLETED
+    monkeypatch.undo()
+    assert (len(synced), sum(synced)) == (8, 3)
+    assert os.listdir(sd.claimed_dir) == []
+
+
 def _spare_inodes(sd: StateDir) -> set:
     return {os.lstat(sd.spare_dir / name).st_ino for name in os.listdir(sd.spare_dir)}
 
@@ -639,7 +661,7 @@ def test_a_stocked_request_makes_no_inode(running_instance):
     loop = ServeLoop(sd, workers=1)
     loop.spares.stock()
     stocked = _spare_inodes(sd)
-    assert len(stocked) == 5  # a stage directory and four temp files
+    assert len(stocked) == 4  # a stage directory and three temp files
 
     result = loop.process_next()
     assert result.terminal is ResponseStatus.COMPLETED
@@ -649,8 +671,8 @@ def test_a_stocked_request_makes_no_inode(running_instance):
         sd.meta_path(result.eid),
         sd.response_path(req.request_id),
     )
-    assert {path.lstat().st_ino for path in made} <= stocked
-    assert os.listdir(sd.spare_dir) == []  # the started marker took the fifth
+    assert {path.lstat().st_ino for path in made} == stocked
+    assert os.listdir(sd.spare_dir) == []
 
 
 @pytest.mark.parametrize("ending", ["idle", "done", "terminal", "error"])

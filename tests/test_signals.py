@@ -65,11 +65,11 @@ def test_sigkilled_serve_mid_stage_recovers_exactly_once(root, tmp_path):
     sd.bundle_config_path.write_text(json.dumps(cfg))
 
     proc = _serve_proc(root, cid, "--forever", "--workers", "1")
-    # Idle, the one loop stocks a request's worth: a directory and four files.
+    # Idle, the one loop stocks a request's worth: a directory and three files.
     deadline = time.monotonic() + 15
-    while time.monotonic() < deadline and len(_spares(sd)) < 5:
+    while time.monotonic() < deadline and len(_spares(sd)) < 4:
         time.sleep(0.02)
-    assert len(_spares(sd)) == 5
+    assert len(_spares(sd)) == 4
     (req,) = spool(sd, "sleep")
     while time.monotonic() < deadline and sd.in_flight_count() == 0:
         time.sleep(0.02)

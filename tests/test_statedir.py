@@ -15,7 +15,7 @@ from c4run.errors import (
     VersionConflict,
 )
 from c4run.lifecycle import EventSource, LifecycleState as L, TerminationEvent, TerminationReason
-from c4run.statedir import StageRecord, StateDir
+from c4run.statedir import StageRecord, StateDir, load_receipts
 from oracles import find_stage_record
 
 
@@ -213,16 +213,34 @@ def test_write_stage_record_once_and_reads_back(root, sim_bundle):
     assert find_stage_record(sd, "missing") is None
 
 
-def test_started_markers_are_empty_and_counted_by_name(root, sim_bundle):
+def test_started_markers_are_receipt_lines_counted_by_claim(root, sim_bundle):
     sd = _init(root, sim_bundle)
-    for request_id in ("1-0-aaaaaaaa", "1-1-bbbbbbbb", "not-an-id"):
-        sd.write_started_marker(request_id)
-    assert sd.started_marker_path("1-0-aaaaaaaa").read_bytes() == b""
-    assert sd.started_markers() == ["1-0-aaaaaaaa", "1-1-bbbbbbbb", "not-an-id"]
+    ids = ("1-0-aaaaaaaa", "1-1-bbbbbbbb", "1-2-cccccccc", "not-an-id")
+    for request_id in ids:
+        sd.write_started_marker(request_id, "eid-x", "hello", "sim")
+    receipts = load_receipts(sd.receipts_path)
+    assert [r["request_id"] for r in receipts] == list(ids)
+    assert set(receipts[0]) == {"request_id", "eid", "stage", "backend", "ts"}
+    assert os.listdir(sd.claimed_dir) == []  # the receipt is the only record
+    assert sd.in_flight_count() == 0  # a receipt without a claim is settled
+    for request_id in ids[:2] + ids[3:]:
+        sd.claimed_path(request_id).write_bytes(b"{}")
     eid = sd.allocate_eid(1, 0)
     sd.write_stage_record(_stage_record(eid), b"")
-    # 1-0's stage is recorded and "not-an-id" names no stage: 1-1's is in flight
+    # 1-0's stage is recorded, 1-2 has no claim and "not-an-id" names no
+    # stage: 1-1's is in flight
     assert sd.in_flight_count() == 1
+
+
+def test_a_missing_receipts_journal_is_corruption(root, sim_bundle):
+    sd = _init(root, sim_bundle)
+    sd.claimed_path("1-0-aaaaaaaa").write_bytes(b"{}")
+    sd.receipts_path.unlink()
+    for read in (sd.touched, sd.in_flight_count, lambda: load_receipts(sd.receipts_path),
+                 lambda: sd.write_started_marker("1-0-aaaaaaaa", "eid-1-0", "hello", "sim")):
+        with pytest.raises(CorruptStateError, match="exec.receipts is missing"):
+            read()
+    assert not sd.receipts_path.exists()  # the append made no new journal
 
 
 # meta.json's keys: what no path, bundle field or other key already holds.
@@ -266,6 +284,9 @@ def test_events_journal_appends_and_dedupes(root, sim_bundle):
 
 def test_append_line_cuts_a_torn_tail_and_refuses_a_short_journal(tmp_path):
     path = tmp_path / "journal"
+    with pytest.raises(FileNotFoundError):
+        fsutil.append_line(path, b"a")  # journals are made by create, never by an append
+    path.touch()
     assert fsutil.append_line(path, b"a") == 2
     with open(path, "ab") as f:
         f.write(b"x" * 5000)  # longer than one backward read
